@@ -35,7 +35,7 @@ from .rqz import (
     schur_residuals,
     solve,
 )
-from .swapkernel import SwapMethod, SwapReport, TriangularPencil2, swap2x2
+from .swapkernel import SwapMethod, SwapReport, TriangularPencil2, swap2x2, swap_cores
 
 __all__ = [
     "CoreTransformation",
@@ -64,6 +64,7 @@ __all__ = [
     "set_poles",
     "solve",
     "swap2x2",
+    "swap_cores",
 ]
 
 __version__ = "0.1.0"

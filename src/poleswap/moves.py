@@ -25,12 +25,13 @@ from .numerics import (
     CoreTransformation,
     ProjectiveValue,
     apply_core,
+    apply_core_matrix,
     core_annihilating,
     core_row_annihilating,
     make_projective,
 )
 from .pencil import DeflationEvent, HessenbergPencil
-from .swapkernel import SwapMethod, TriangularPencil2, swap2x2
+from .swapkernel import SwapMethod, TriangularPencil2, swap_cores
 
 
 @dataclass(slots=True)
@@ -98,8 +99,7 @@ def move_type1_top(p, rho, accumulate=None, eps: float | None = None) -> MoveRec
     else:
         core, _ = core_annihilating((v1, v2), index=lo)
     if not core.is_identity:
-        apply_core(p.a, core, side="left", conjugate=True)
-        apply_core(p.b, core, side="left", conjugate=True)
+        apply_core(p.ab, core, side="left", conjugate=True)
         _accumulate(accumulate, core, "q")
     deflation = None
     if _deflation_check(p, lo, eps):
@@ -132,8 +132,7 @@ def move_type1_bottom(p, tau, accumulate=None, eps: float | None = None) -> Move
     else:
         core, _ = core_row_annihilating((w1, w2), index=k - 1)
     if not core.is_identity:
-        apply_core(p.a, core, side="right")
-        apply_core(p.b, core, side="right")
+        apply_core(p.ab, core, side="right")
         _accumulate(accumulate, core, "z")
     deflation = None
     if _deflation_check(p, k - 1, eps):
@@ -151,7 +150,10 @@ def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, accumulate=None) 
     The 2x2 block of the pole pencil at those positions (rows j, j+1 crossed
     with columns j-1, j of A and B) is handed to the swap kernel; the kernel
     cores embed as a left core on rows (j, j+1) and a right core on columns
-    (j-1, j).  Equal poles give an identity move, never an error.
+    (j-1, j).  Equal poles give an identity move, never an error.  Only the
+    cores are computed: the kernel's 2x2 residual instrumentation is left to
+    :func:`swap2x2`, and the move's own record of the entries it zeroes is
+    ``zeroed_a``/``zeroed_b``.
     """
     if not p.lo + 1 <= j <= p.hi - 2:
         raise ValueError(f"type II move index {j} outside ({p.lo + 1}, {p.hi - 2})")
@@ -164,18 +166,21 @@ def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, accumulate=None) 
     block = TriangularPencil2(
         a[j, j - 1], a[j, j], a[j + 1, j], b[j, j - 1], b[j, j], b[j + 1, j]
     )
-    rep = swap2x2(block, method)
-    if rep.skipped:
+    cores = swap_cores(block, method)
+    if cores is None:
         return MoveRecord("type2", j, None, None, upper, lower)
-    q = rep.q.at(j)
-    z = rep.z.at(j - 1)
-    apply_core(a, z, side="right")
-    apply_core(b, z, side="right")
-    apply_core(a, q, side="left", conjugate=True)
-    apply_core(b, q, side="left", conjugate=True)
+    zc, zs, qc, qs = cores
+    q = CoreTransformation(qc, qs, j)
+    z = CoreTransformation(zc, zs, j - 1)
+    # each core's 2x2 array is built once and serves A, B and Q or Z alike
+    qr = q.matrix()
+    zr = z.matrix()
+    apply_core_matrix(p.ab, zr, j - 1, "right")
+    apply_core_matrix(p.ab, qr.conj().T, j, "left")
     if accumulate is not None:
-        _accumulate(accumulate, q, "q")
-        _accumulate(accumulate, z, "z")
+        q_mat, z_mat = accumulate
+        apply_core_matrix(q_mat, qr, j, "right")
+        apply_core_matrix(z_mat, zr, j - 1, "right")
     zeroed_a = abs(a[j + 1, j - 1])
     zeroed_b = abs(b[j + 1, j - 1])
     a[j + 1, j - 1] = 0.0

@@ -223,20 +223,29 @@ def apply_core(m: np.ndarray, core: CoreTransformation, side: str, conjugate: bo
     """Apply a core in place: G*.M / G.M on rows, or M.G / M.G* on columns.
 
     ``side='left'`` touches rows (index, index+1); ``side='right'`` touches
-    the corresponding columns.  All other entries are untouched.
+    the corresponding columns.  All other entries are untouched.  The core
+    acts on the last two axes, so a (2, n, n) stack of A and B is updated by
+    one matmul, with the same bits as one call per matrix.
     """
-    j = core.index
     r = core.matrix()
     if conjugate:
         r = r.conj().T
+    return apply_core_matrix(m, r, core.index, side)
+
+
+def apply_core_matrix(m: np.ndarray, r: np.ndarray, j: int, side: str) -> np.ndarray:
+    """:func:`apply_core` with the core's 2x2 array ``r`` already built:
+    rows (j, j+1) of the last two axes become ``r @ rows`` (``side='left'``),
+    or columns (j, j+1) become ``columns @ r`` (``side='right'``).  A caller
+    applying one core to several matrices builds its array once."""
     if side == "left":
-        if not 0 <= j < m.shape[0] - 1:
+        if not 0 <= j < m.shape[-2] - 1:
             raise IndexError(f"row index {j} out of range")
-        m[j : j + 2, :] = r @ m[j : j + 2, :]
+        m[..., j : j + 2, :] = r @ m[..., j : j + 2, :]
     elif side == "right":
-        if not 0 <= j < m.shape[1] - 1:
+        if not 0 <= j < m.shape[-1] - 1:
             raise IndexError(f"column index {j} out of range")
-        m[:, j : j + 2] = m[:, j : j + 2] @ r
+        m[..., :, j : j + 2] = m[..., :, j : j + 2] @ r
     else:
         raise ValueError("side must be 'left' or 'right'")
     return m

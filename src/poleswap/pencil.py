@@ -65,23 +65,30 @@ class HessenbergPencil:
     ``lo:hi`` (half-open, 0-based) delimits the currently undeflated block;
     operations act inside the window but row/column updates always span the
     full matrices, so an accumulated Q*(A, B)Z equivalence stays exact.
+
+    The pencil owns one (2, n, n) buffer ``ab``; ``a`` and ``b`` are views of
+    ``ab[0]`` and ``ab[1]``, so a core applied to ``ab`` updates both
+    matrices with one numpy call.  The constructor copies its inputs.
     """
 
-    __slots__ = ("a", "b", "lo", "hi")
+    __slots__ = ("ab", "a", "b", "lo", "hi")
 
     def __init__(self, a, b, lo: int = 0, hi: int | None = None):
-        self.a = ensure_complex_matrix(a, square=True)
-        self.b = ensure_complex_matrix(b, square=True)
-        if self.a.shape != self.b.shape:
+        a = ensure_complex_matrix(a, square=True)
+        b = ensure_complex_matrix(b, square=True)
+        if a.shape != b.shape:
             raise ValueError("A and B must have the same dimension")
-        n = self.a.shape[0]
+        for m, name in ((a, "A"), (b, "B")):
+            if not is_hessenberg(m):
+                raise ValueError(f"{name} is not upper Hessenberg (exact zeros required)")
+        n = a.shape[0]
         self.lo = lo
         self.hi = n if hi is None else hi
         if not 0 <= self.lo <= self.hi <= n:
             raise ValueError(f"bad active range ({self.lo}, {self.hi}) for n={n}")
-        for m, name in ((self.a, "A"), (self.b, "B")):
-            if not is_hessenberg(m):
-                raise ValueError(f"{name} is not upper Hessenberg (exact zeros required)")
+        self.ab = np.stack((a, b))
+        self.a = self.ab[0]
+        self.b = self.ab[1]
 
     @property
     def n(self) -> int:
@@ -92,7 +99,7 @@ class HessenbergPencil:
         return self.hi - self.lo
 
     def copy(self) -> "HessenbergPencil":
-        return HessenbergPencil(self.a.copy(), self.b.copy(), self.lo, self.hi)
+        return HessenbergPencil(self.a, self.b, self.lo, self.hi)
 
     def pole(self, j: int) -> ProjectiveValue:
         """Pole at subdiagonal position j (entries (j+1, j));  raises
@@ -161,8 +168,8 @@ def reduce_to_hessenberg_triangular(a, b):
     with left rotations whose B-fill is immediately chased away by right
     rotations.
     """
-    a = ensure_complex_matrix(a, square=True).copy()
-    b = ensure_complex_matrix(b, square=True).copy()
+    a = ensure_complex_matrix(a, square=True)
+    b = ensure_complex_matrix(b, square=True)
     if a.shape != b.shape:
         raise ValueError("A and B must have the same dimension")
     n = a.shape[0]
@@ -170,8 +177,9 @@ def reduce_to_hessenberg_triangular(a, b):
         return HessenbergPencil(a, b), np.eye(0, dtype=complex), np.eye(0, dtype=complex)
 
     q0, r = np.linalg.qr(b)
-    a = q0.conj().T @ a
-    b = r
+    ab = np.stack((q0.conj().T @ a, r))
+    a = ab[0]
+    b = ab[1]
     q = q0.astype(complex)
     z = np.eye(n, dtype=complex)
 
@@ -181,14 +189,12 @@ def reduce_to_hessenberg_triangular(a, b):
                 continue
             # zero A[i, j] from the left, then repair B's (i, i-1) fill
             g, _ = core_annihilating((a[i - 1, j], a[i, j]), index=i - 1)
-            apply_core(a, g, side="left", conjugate=True)
-            apply_core(b, g, side="left", conjugate=True)
+            apply_core(ab, g, side="left", conjugate=True)
             apply_core(q, g, side="right")
             a[i, j] = 0.0
             if b[i, i - 1] != 0.0:
                 h, _ = core_row_annihilating((b[i, i - 1], b[i, i]), index=i - 1)
-                apply_core(a, h, side="right")
-                apply_core(b, h, side="right")
+                apply_core(ab, h, side="right")
                 apply_core(z, h, side="right")
                 b[i, i - 1] = 0.0
     b[np.tril_indices(n, k=-1)] = 0.0
@@ -200,41 +206,45 @@ def detect_deflations(p: HessenbergPencil, eps: float | None = None) -> list[Def
 
     Position j splits when BOTH |a[j+1,j]| <= eps*(|a[j,j]| + |a[j+1,j+1]|)
     and the same for B; a vanishing neighbour sum falls back to the Frobenius
-    norm of the active block.  Splits at the window edges expose 1x1 blocks
-    and are reported as eigenvalue events.
+    norm of the active block, computed at most once per call and only when
+    a neighbour sum vanishes.  The negligible pairs are zeroed after the
+    scan, so that norm is always the one of the block as it was passed in.
+    Splits at the window edges expose 1x1 blocks and are reported as
+    eigenvalue events.
     """
     if eps is None:
         eps = UNIT_ROUNDOFF
+    a, b = p.a, p.b
+    lo, hi = p.lo, p.hi
     events: list[DeflationEvent] = []
-    act = slice(p.lo, p.hi)
-    fallback_a = float(np.linalg.norm(p.a[act, act]))
-    fallback_b = float(np.linalg.norm(p.b[act, act]))
-    for j in range(p.lo, p.hi - 1):
-        sa = abs(p.a[j, j]) + abs(p.a[j + 1, j + 1])
-        sb = abs(p.b[j, j]) + abs(p.b[j + 1, j + 1])
+    act = slice(lo, hi)
+    fallback_a = fallback_b = None
+    for j in range(lo, hi - 1):
+        sa = abs(a[j, j]) + abs(a[j + 1, j + 1])
+        sb = abs(b[j, j]) + abs(b[j + 1, j + 1])
         if sa == 0.0:
+            if fallback_a is None:
+                fallback_a = float(np.linalg.norm(a[act, act]))
             sa = fallback_a
         if sb == 0.0:
+            if fallback_b is None:
+                fallback_b = float(np.linalg.norm(b[act, act]))
             sb = fallback_b
-        if abs(p.a[j + 1, j]) <= eps * sa and abs(p.b[j + 1, j]) <= eps * sb:
-            p.a[j + 1, j] = 0.0
-            p.b[j + 1, j] = 0.0
-            if j == p.hi - 2:
+        if abs(a[j + 1, j]) <= eps * sa and abs(b[j + 1, j]) <= eps * sb:
+            if j == hi - 2:
                 events.append(
                     DeflationEvent(
-                        j,
-                        "bottom_eigenvalue",
-                        make_projective(p.a[p.hi - 1, p.hi - 1], p.b[p.hi - 1, p.hi - 1]),
+                        j, "bottom_eigenvalue", make_projective(a[hi - 1, hi - 1], b[hi - 1, hi - 1])
                     )
                 )
-            elif j == p.lo:
+            elif j == lo:
                 events.append(
-                    DeflationEvent(
-                        j, "top_eigenvalue", make_projective(p.a[p.lo, p.lo], p.b[p.lo, p.lo])
-                    )
+                    DeflationEvent(j, "top_eigenvalue", make_projective(a[lo, lo], b[lo, lo]))
                 )
             else:
                 events.append(DeflationEvent(j, "split"))
+    for e in events:
+        p.ab[:, e.position + 1, e.position] = 0.0
     return events
 
 

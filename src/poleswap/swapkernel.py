@@ -138,12 +138,14 @@ def _skip_report(p: TriangularPencil2) -> SwapReport:
     )
 
 
-def swap2x2(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW) -> SwapReport:
-    """Swap the two eigenvalues of a regular 2x2 upper-triangular pencil.
+def swap_cores(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW):
+    """The cores that swap the two eigenvalues of a regular 2x2 pencil.
 
-    Returns a skipped report (identity cores) when the eigenvalues are equal
-    (x = 0, which includes both eigenvalues infinite); there is nothing to
-    swap in that case.
+    Returns ``(zc, zs, qc, qs)``, the (c, s) pairs of Z and Q, or None when
+    there is nothing to swap: the eigenvalues are equal (x = 0, which
+    includes both eigenvalues infinite) or the Sylvester system is singular.
+    This is the kernel the solver calls; :func:`swap2x2` adds the swapped
+    pencil and its residuals on top.
     """
     a1, a, a2 = p.alpha1, p.a, p.alpha2
     b1, b, b2 = p.beta1, p.b, p.beta2
@@ -152,34 +154,50 @@ def swap2x2(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW) -> SwapRe
     x1 = a2 * b - b2 * a
     x2 = b2 * a1 - a2 * b1
     if (x1 == 0 and x2 == 0) or (b1 == 0 and b2 == 0):
-        return _skip_report(p)
+        return None
 
     if method is SwapMethod.SYLVESTER:
         rl = _sylvester_directions(p)
         if rl is None:
-            return _skip_report(p)
+            return None
         r, l = rl
         zc, zs, _ = _annihilate(r, 1.0)
         qc, qs, _ = _annihilate(l, 1.0)
+        return zc, zs, qc, qs
+
+    zc, zs, _ = _annihilate(x1, x2)
+    # first columns of A.Z and B.Z; both are proportional to y exactly
+    ua1 = a1 * zc + a * zs
+    ua2 = a2 * zs
+    ub1 = b1 * zc + b * zs
+    ub2 = b2 * zs
+    if method is SwapMethod.NEW:
+        # Case 1 iff |sigma1| >= |sigma2|, ties included
+        use_b = abs(a1) * abs(b2) >= abs(a2) * abs(b1)
     else:
-        zc, zs, _ = _annihilate(x1, x2)
-        # first columns of A.Z and B.Z; both are proportional to y exactly
-        ua1 = a1 * zc + a * zs
-        ua2 = a2 * zs
-        ub1 = b1 * zc + b * zs
-        ub2 = b2 * zs
-        if method is SwapMethod.NEW:
-            # Case 1 iff |sigma1| >= |sigma2|, ties included
-            use_b = abs(a1) * abs(b2) >= abs(a2) * abs(b1)
-        else:
-            na = abs(ua1) ** 2 + abs(ua2) ** 2
-            nb = abs(ub1) ** 2 + abs(ub2) ** 2
-            use_b = nb >= na
-        u1, u2 = (ub1, ub2) if use_b else (ua1, ua2)
-        if u1 == 0 and u2 == 0:
-            qc, qs = 1.0 + 0.0j, 0.0j
-        else:
-            qc, qs, _ = _annihilate(u1, u2)
+        na = abs(ua1) ** 2 + abs(ua2) ** 2
+        nb = abs(ub1) ** 2 + abs(ub2) ** 2
+        use_b = nb >= na
+    u1, u2 = (ub1, ub2) if use_b else (ua1, ua2)
+    if u1 == 0 and u2 == 0:
+        return zc, zs, 1.0 + 0.0j, 0.0j
+    qc, qs, _ = _annihilate(u1, u2)
+    return zc, zs, qc, qs
+
+
+def swap2x2(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW) -> SwapReport:
+    """Swap the two eigenvalues of a regular 2x2 upper-triangular pencil.
+
+    The cores come from :func:`swap_cores`; this adds the swapped pencil and
+    the residuals the studies bin.  Returns a skipped report (identity
+    cores) when there is nothing to swap.
+    """
+    cores = swap_cores(p, method)
+    if cores is None:
+        return _skip_report(p)
+    zc, zs, qc, qs = cores
+    a1, a, a2 = p.alpha1, p.a, p.alpha2
+    b1, b, b2 = p.beta1, p.b, p.beta2
 
     # hatA = Q* (A Z), hatB = Q* (B Z), spelled out on the six entries
     zcc = zc.conjugate()

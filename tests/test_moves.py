@@ -6,11 +6,12 @@ import pytest
 from poleswap.moves import move_type1_bottom, move_type1_top, move_type2
 from poleswap.numerics import (
     UNIT_ROUNDOFF,
+    apply_core,
     chordal_distance,
     make_projective,
 )
 from poleswap.pencil import HessenbergPencil, reduce_to_hessenberg_triangular
-from poleswap.swapkernel import SwapMethod
+from poleswap.swapkernel import SwapMethod, TriangularPencil2, swap2x2
 
 from test_pencil import random_pair, random_proper_hessenberg
 
@@ -180,6 +181,82 @@ class TestType2:
         res_a = q @ p.a @ z.conj().T - a0
         # exact except the explicitly zeroed entry, transported by Q, Z
         assert np.linalg.norm(res_a) <= rec.zeroed_a + 20 * U * np.linalg.norm(a0)
+
+
+def bits(m):
+    """The raw binary64 words of a complex array: equal iff bit for bit."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def replay_type2(a, b, q, z, j, method):
+    """A type II move applied one matrix at a time with swap2x2's reported
+    cores: the per-matrix path the stacked move must reproduce bit for bit."""
+    if a[j, j - 1] * b[j + 1, j] == a[j + 1, j] * b[j, j - 1]:
+        return None
+    block = TriangularPencil2(
+        a[j, j - 1], a[j, j], a[j + 1, j], b[j, j - 1], b[j, j], b[j + 1, j]
+    )
+    rep = swap2x2(block, method)
+    if rep.skipped:
+        return None
+    gq = rep.q.at(j)
+    gz = rep.z.at(j - 1)
+    apply_core(a, gz, side="right")
+    apply_core(b, gz, side="right")
+    apply_core(a, gq, side="left", conjugate=True)
+    apply_core(b, gq, side="left", conjugate=True)
+    apply_core(q, gq, side="right")
+    apply_core(z, gz, side="right")
+    zeroed = (abs(a[j + 1, j - 1]), abs(b[j + 1, j - 1]))
+    a[j + 1, j - 1] = 0.0
+    b[j + 1, j - 1] = 0.0
+    return rep, zeroed
+
+
+class TestStackedType2MatchesPerMatrixReplay:
+    @pytest.mark.parametrize("method", list(SwapMethod))
+    def test_bitwise_on_stress_scaled_pencils(self, method):
+        rng = np.random.default_rng(40)
+        n = 7
+        moved = 0
+        for trial in range(40):
+            p = random_proper_hessenberg(rng, n)
+            p.ab *= 10.0 ** rng.uniform(-12, 12, size=(2, n, n))
+            if trial % 4 == 0:
+                p.a[...] *= 1e150
+                p.b[...] *= 1e-150
+            a, b = p.a.copy(), p.b.copy()
+            q, z = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+            pq, pz = q.copy(), z.copy()
+            for j in list(range(1, n - 1)) + list(range(n - 2, 0, -1)):
+                # VAN_DOOREN's squared column norms overflow at 1e150
+                with np.errstate(over="ignore"):
+                    rec = move_type2(p, j, method=method, accumulate=(pq, pz))
+                    replay = replay_type2(a, b, q, z, j, method)
+                if replay is None:
+                    assert rec.q is None and rec.z is None
+                else:
+                    rep, zeroed = replay
+                    moved += 1
+                    assert (rec.q.index, rec.z.index) == (j, j - 1)
+                    mine = [rec.q.c, rec.q.s, rec.z.c, rec.z.s, rec.zeroed_a, rec.zeroed_b]
+                    theirs = [rep.q.c, rep.q.s, rep.z.c, rep.z.s, *zeroed]
+                    assert np.array_equal(bits(mine), bits(theirs))
+                for mine, theirs in ((p.a, a), (p.b, b), (pq, q), (pz, z)):
+                    assert np.array_equal(bits(mine), bits(theirs))
+        assert moved > 300
+
+    def test_equal_poles_leave_everything_untouched(self):
+        rng = np.random.default_rng(41)
+        pole = make_projective(1.0 - 2.0j, 1.0)
+        p = random_proper_hessenberg(rng, 5, poles=[pole] * 4)
+        ab0 = p.ab.copy()
+        q, z = np.eye(5, dtype=complex), np.eye(5, dtype=complex)
+        for method in SwapMethod:
+            rec = move_type2(p, 2, method=method, accumulate=(q, z))
+            assert rec.q is None and rec.z is None
+        assert np.array_equal(bits(p.ab), bits(ab0))
+        assert np.array_equal(q, np.eye(5)) and np.array_equal(z, np.eye(5))
 
 
 class TestDirectionPropositions:

@@ -192,6 +192,31 @@ class TestApplyCore:
         with pytest.raises(IndexError):
             apply_core(m, identity_core(1), side="left")
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_stack_matches_per_matrix_bitwise(self, side, conjugate):
+        rng = np.random.default_rng(20)
+        n = 9
+        for _ in range(25):
+            ab = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            ab *= 10.0 ** rng.uniform(-12, 12, size=(2, n, n))
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            g, _ = core_annihilating(v, index=int(rng.integers(0, n - 1)))
+            a, b = ab[0].copy(), ab[1].copy()
+            apply_core(ab, g, side=side, conjugate=conjugate)
+            apply_core(a, g, side=side, conjugate=conjugate)
+            apply_core(b, g, side=side, conjugate=conjugate)
+            # compare the raw binary64 words, so even a zero's sign counts
+            assert np.array_equal(ab[0].view(np.uint64), a.view(np.uint64))
+            assert np.array_equal(ab[1].view(np.uint64), b.view(np.uint64))
+
+    def test_stack_out_of_range_index(self):
+        ab = np.zeros((2, 3, 3), dtype=complex)
+        with pytest.raises(IndexError):
+            apply_core(ab, identity_core(2), side="left")
+        with pytest.raises(IndexError):
+            apply_core(ab, identity_core(2), side="right")
+
 
 class TestMatrixNorms:
     def test_identity_2x2(self):

@@ -43,6 +43,41 @@ def random_proper_hessenberg(rng, n, poles=None):
     return HessenbergPencil(a, b)
 
 
+class TestStackedBuffer:
+    def test_constructor_copies_inputs(self):
+        rng = np.random.default_rng(30)
+        a, b = random_pair(rng, 5)
+        a, b = np.triu(a, -1), np.triu(b, -1)
+        a0, b0 = a.copy(), b.copy()
+        p = HessenbergPencil(a, b)
+        p.a[2, 1] = 7.0
+        p.b[0, 0] = 7.0
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        assert not np.shares_memory(p.ab, a) and not np.shares_memory(p.ab, b)
+
+    def test_a_and_b_are_views_of_one_buffer(self):
+        rng = np.random.default_rng(31)
+        p = random_proper_hessenberg(rng, 5)
+        assert p.ab.shape == (2, 5, 5)
+        assert p.a.base is p.ab and p.b.base is p.ab
+        p.ab[0, 1, 1] = 3.0
+        p.ab[1, 2, 2] = 4.0
+        assert p.a[1, 1] == 3.0 and p.b[2, 2] == 4.0
+
+    def test_copy_is_independent(self):
+        rng = np.random.default_rng(32)
+        p = random_proper_hessenberg(rng, 5)
+        p.lo, p.hi = 1, 4
+        c = p.copy()
+        assert (c.lo, c.hi) == (1, 4)
+        np.testing.assert_array_equal(c.ab, p.ab)
+        assert not np.shares_memory(c.ab, p.ab)
+        c.a[0, 0] = 99.0
+        c.b[0, 0] = 99.0
+        assert p.a[0, 0] != 99.0 and p.b[0, 0] != 99.0
+
+
 class TestPoles:
     def test_direct_ratios(self):
         a = np.array([[1, 1, 1], [2, 1, 1], [0, 3, 1]], dtype=complex)
@@ -225,6 +260,18 @@ class TestDetectDeflations:
         assert [e.position for e in events] == [1]
         assert events[0].kind == "split"
         assert p.a[2, 1] == 0.0 and p.b[2, 1] == 0.0
+
+
+    @pytest.mark.parametrize("factor, deflates", [(0.99, True), (1.01, False)])
+    def test_zero_neighbour_sum_falls_back_to_block_norm(self, factor, deflates):
+        # A's diagonal vanishes, so its test uses ||A[act, act]||_F = sqrt(2)
+        a = np.diag([1.0, 1.0, 0.0], -1).astype(complex)
+        a[3, 2] = factor * U * math.sqrt(2.0)
+        b = np.eye(4, dtype=complex) + np.diag([1.0, 1.0, 1e-300], -1)
+        p = HessenbergPencil(a, b)
+        events = detect_deflations(p)
+        assert [e.position for e in events] == ([2] if deflates else [])
+        assert (p.a[3, 2] == 0.0) == deflates
 
 
 class TestFileFormat:

@@ -328,7 +328,46 @@ class TestSolve:
         assert all(h2 <= h1 for h1, h2 in zip(his, his[1:]))
 
 
+def max_scaled_backward_error(m, q, t, z):
+    """||M - Q T Z*|| / ||M|| computed on M / max|M|, independently of rqz."""
+    s = float(np.max(np.abs(m)))
+    d = m / s - q @ (t / s) @ z.conj().T
+    return float(np.linalg.norm(d)) / float(np.linalg.norm(m / s))
+
+
 class TestSchurResiduals:
+    def test_graded_pencil_does_not_underflow(self):
+        rng = np.random.default_rng(21)
+        a, b = random_pair(rng, 20)
+        a *= 1e150
+        b *= 1e-150
+        res = solve(a, b)
+        assert res.converged
+        for reported, m, t in ((res.r_a, a, res.schur_a), (res.r_b, b, res.schur_b)):
+            own = max_scaled_backward_error(m, res.q, t, res.z)
+            assert reported > 0.0
+            assert own / 2 <= reported <= 2 * own
+            assert reported <= 100 * 20 * U
+
+    def test_ordinary_scale_matches_unscaled_formula_bitwise(self):
+        # scaling by a power of two is exact, so pencils of ordinary size
+        # report the same bits as the plain formula
+        rng = np.random.default_rng(22)
+        for n in (3, 10, 25):
+            a, b = random_pair(rng, n)
+            b *= 1e3
+            res = solve(a, b)
+            for reported, m, t in ((res.r_a, a, res.schur_a), (res.r_b, b, res.schur_b)):
+                plain = float(np.linalg.norm(m - res.q @ t @ res.z.conj().T)) / float(
+                    np.linalg.norm(m)
+                )
+                assert reported == plain
+
+    def test_zero_matrix(self):
+        a = np.zeros((3, 3), dtype=complex)
+        eye = np.eye(3, dtype=complex)
+        assert schur_residuals(a, eye, eye, eye, a, eye) == (0.0, 0.0)
+
     def test_exact_factors(self):
         rng = np.random.default_rng(17)
         a, b = random_pair(rng, 4)

@@ -18,6 +18,7 @@ from poleswap.swapkernel import (
     exact_swap_vectors,
     flip_swap_equivalence_check,
     swap2x2,
+    swap_cores,
 )
 
 U = UNIT_ROUNDOFF
@@ -173,6 +174,34 @@ class TestSwapProperties:
                     tails[m] += 1
         for m, count in tails.items():
             assert count > 20, m
+
+
+class TestCoresOnlyKernel:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_agrees_with_swap2x2_bitwise(self, method):
+        rng = np.random.default_rng(50)
+        rows = stress_entries(rng, 12000)
+        # equal eigenvalues and an all-infinite pair exercise the skip path
+        rows[::500, 2] = rows[::500, 0]
+        rows[::500, 5] = rows[::500, 3]
+        rows[1::500, 3] = 0.0
+        rows[1::500, 5] = 0.0
+        skipped = 0
+        for row in rows:
+            p = TriangularPencil2(*row)
+            cores = swap_cores(p, method)
+            rep = swap2x2(p, method)
+            if cores is None:
+                skipped += 1
+                assert rep.skipped
+                continue
+            assert not rep.skipped
+            reported = (rep.z.c, rep.z.s, rep.q.c, rep.q.s)
+            assert np.array_equal(
+                np.array(cores, dtype=complex).view(np.uint64),
+                np.array(reported, dtype=complex).view(np.uint64),
+            )
+        assert skipped >= 24
 
 
 class TestExactSwapVectors:
