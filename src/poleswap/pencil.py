@@ -22,7 +22,9 @@ from .numerics import (
     UNIT_ROUNDOFF,
     ProjectiveValue,
     apply_core,
+    apply_core_matrix,
     core_annihilating,
+    core_pair_matrix,
     core_row_annihilating,
     ensure_complex_matrix,
     make_projective,
@@ -162,11 +164,13 @@ def check_proper(p: HessenbergPencil, tol: float | None = None) -> PropernessRep
 def reduce_to_hessenberg_triangular(a, b):
     """Direct O(n^3) reduction of (A, B) to Hessenberg-triangular form.
 
-    Returns (pencil, Q, Z) with Q* A Z upper Hessenberg and Q* B Z upper
-    triangular; all poles of the result are infinite.  B is triangularized by
-    a QR factorization, then A is brought to Hessenberg form column by column
-    with left rotations whose B-fill is immediately chased away by right
-    rotations.
+    Returns ``(pencil, qz)``: ``qz`` is a (2, n, n) stack holding Q in
+    ``qz[0]`` and Z in ``qz[1]``, with Q* A Z upper Hessenberg and Q* B Z
+    upper triangular; all poles of the result are infinite.  B is
+    triangularized by a QR factorization, then A is brought to Hessenberg
+    form column by column with left rotations whose B-fill is immediately
+    chased away by right rotations.  Each such pair of rotations acts on
+    the same two columns of Q and Z, which are updated together.
     """
     a = ensure_complex_matrix(a, square=True)
     b = ensure_complex_matrix(b, square=True)
@@ -174,14 +178,13 @@ def reduce_to_hessenberg_triangular(a, b):
         raise ValueError("A and B must have the same dimension")
     n = a.shape[0]
     if n == 0:
-        return HessenbergPencil(a, b), np.eye(0, dtype=complex), np.eye(0, dtype=complex)
+        return HessenbergPencil(a, b), np.zeros((2, 0, 0), dtype=complex)
 
     q0, r = np.linalg.qr(b)
     ab = np.stack((q0.conj().T @ a, r))
     a = ab[0]
     b = ab[1]
-    q = q0.astype(complex)
-    z = np.eye(n, dtype=complex)
+    qz = np.stack((q0, np.eye(n, dtype=complex)))
 
     for j in range(n - 2):
         for i in range(n - 1, j + 1, -1):
@@ -190,15 +193,16 @@ def reduce_to_hessenberg_triangular(a, b):
             # zero A[i, j] from the left, then repair B's (i, i-1) fill
             g, _ = core_annihilating((a[i - 1, j], a[i, j]), index=i - 1)
             apply_core(ab, g, side="left", conjugate=True)
-            apply_core(q, g, side="right")
             a[i, j] = 0.0
             if b[i, i - 1] != 0.0:
                 h, _ = core_row_annihilating((b[i, i - 1], b[i, i]), index=i - 1)
                 apply_core(ab, h, side="right")
-                apply_core(z, h, side="right")
                 b[i, i - 1] = 0.0
+                apply_core_matrix(qz, core_pair_matrix(g.c, g.s, h.c, h.s), i - 1, "right")
+            else:
+                apply_core_matrix(qz[0], g.matrix(), i - 1, "right")
     b[np.tril_indices(n, k=-1)] = 0.0
-    return HessenbergPencil(a, b), q, z
+    return HessenbergPencil(a, b), qz
 
 
 def detect_deflations(p: HessenbergPencil, eps: float | None = None) -> list[DeflationEvent]:
@@ -253,12 +257,20 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
 
     Targets (length active_n - 1) are installed half from the top in reverse
     order and half from the bottom, which halves the move count relative to
-    one-sided installation: at most ceil((n-1)^2/4) type II moves plus n-1
-    type I moves.  Mutates the pencil in place; returns a DeflationEvent if
-    one is encountered mid-installation (the caller then restarts on the
-    subblocks), else None.  ``record``, if a list, collects the MoveRecords.
+    one-sided installation: with m = active_n - 1 targets and k = ceil(m/2)
+    of them from the top, k(k-1)/2 + (m-k)(m-k-1)/2 type II moves (at most
+    ceil(m^2/4)) plus m type I moves.  Mutates the pencil in place;
+    ``accumulate`` is the (2, n, n) Q/Z stack.
+
+    The type I moves report a deflation only on an exactly zero subdiagonal
+    pair (``eps=0``): a merely negligible pair is left for the solver's own
+    deflation scan, so every target is installed.  An exact split stops the
+    installation, since no move can carry a pole across it; the
+    DeflationEvent is returned, and the remaining targets are not
+    installed.  Otherwise returns None.  ``record``, if a list, collects the
+    MoveRecords.
     """
-    from .moves import move_type1_bottom, move_type1_top, move_type2
+    from .moves import flush_pending, move_type1_bottom, move_type1_top, move_type2
     from .swapkernel import SwapMethod
 
     if method is None:
@@ -269,32 +281,37 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
         raise ValueError(f"need {m} target poles, got {len(targets)}")
     if m <= 0:
         return None
+    pending: list = []
 
     def run(rec):
         if record is not None:
             record.append(rec)
         return rec.deflation
 
-    k = (m + 1) // 2
-    # top group: targets[k-1], ..., targets[0], each chased down into place
-    for t in range(k - 1, -1, -1):
-        event = run(move_type1_top(p, targets[t], accumulate=accumulate))
-        if event is not None:
-            return event
-        for j in range(p.lo + 1, p.lo + 1 + t):
-            event = run(move_type2(p, j, method=method, accumulate=accumulate))
+    def install():
+        k = (m + 1) // 2
+        # top group: targets[k-1], ..., targets[0], each chased down into place
+        for t in range(k - 1, -1, -1):
+            event = run(move_type1_top(p, targets[t], accumulate=accumulate, eps=0.0, pending=pending))
             if event is not None:
                 return event
-    # bottom group: targets[k], ..., targets[m-1], each chased up into place
-    for t in range(k, m):
-        event = run(move_type1_bottom(p, targets[t], accumulate=accumulate))
-        if event is not None:
-            return event
-        for j in range(p.hi - 2, p.lo + t, -1):
-            event = run(move_type2(p, j, method=method, accumulate=accumulate))
+            for j in range(p.lo + 1, p.lo + 1 + t):
+                run(move_type2(p, j, method, accumulate, pending))
+        # bottom group: targets[k], ..., targets[m-1], each chased up into place
+        for t in range(k, m):
+            event = run(
+                move_type1_bottom(p, targets[t], accumulate=accumulate, eps=0.0, pending=pending)
+            )
             if event is not None:
                 return event
-    return None
+            for j in range(p.hi - 2, p.lo + t, -1):
+                run(move_type2(p, j, method, accumulate, pending))
+        return None
+
+    try:
+        return install()
+    finally:
+        flush_pending(accumulate, pending)
 
 
 # ---------------------------------------------------------------------------

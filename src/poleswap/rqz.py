@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .moves import MoveRecord, move_type1_bottom, move_type1_top, move_type2
+from .moves import MoveRecord, flush_pending, move_type1_bottom, move_type1_top, move_type2
 from .numerics import (
     UNIT_ROUNDOFF,
     ProjectiveValue,
@@ -118,16 +118,22 @@ def choose_shift(p: HessenbergPencil, strategy: str = "wilkinson", position: str
 def basic_sweep(p, rho, new_pole=INF, method=SwapMethod.NEW, accumulate=None) -> SweepRecord:
     """One single-shift iteration: install rho on top, chase it to the bottom,
     replace it by ``new_pole``.  A deflation encountered on the way truncates
-    the sweep (a success: the caller restarts on the subblocks)."""
+    the sweep (a success: the caller restarts on the subblocks).
+    ``accumulate`` is the (2, n, n) Q/Z stack; each Q core is applied
+    together with the next move's Z core (see :mod:`poleswap.moves`)."""
     moves: list[MoveRecord] = []
-    rec = move_type1_top(p, rho, accumulate=accumulate)
-    moves.append(rec)
-    if rec.deflation is not None:
-        return SweepRecord(moves, [rho], [], "down", rec.deflation)
-    for j in range(p.lo + 1, p.hi - 1):
-        moves.append(move_type2(p, j, method=method, accumulate=accumulate))
-    rec = move_type1_bottom(p, new_pole, accumulate=accumulate)
-    moves.append(rec)
+    pending: list = []
+    try:
+        rec = move_type1_top(p, rho, accumulate=accumulate, pending=pending)
+        moves.append(rec)
+        if rec.deflation is not None:
+            return SweepRecord(moves, [rho], [], "down", rec.deflation)
+        for j in range(p.lo + 1, p.hi - 1):
+            moves.append(move_type2(p, j, method, accumulate, pending))
+        rec = move_type1_bottom(p, new_pole, accumulate=accumulate, pending=pending)
+        moves.append(rec)
+    finally:
+        flush_pending(accumulate, pending)
     return SweepRecord(moves, [rho], [new_pole], "down", rec.deflation)
 
 
@@ -152,36 +158,38 @@ def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW, accumulate=Non
         if len(new_poles) != m:
             raise ValueError("need exactly one replacement pole per shift")
     moves: list[MoveRecord] = []
+    pending: list = []
 
     def run(rec: MoveRecord) -> bool:
         moves.append(rec)
         return rec.deflation is not None
 
-    def done(deflation) -> SweepRecord:
-        return SweepRecord(moves, shifts, new_poles or [], "down", deflation)
+    def chase():
+        # install the chain at the top, deepest-travelling shift first
+        for t in range(m - 1, -1, -1):
+            if run(move_type1_top(p, shifts[t], accumulate=accumulate, pending=pending)):
+                return moves[-1].deflation
+            for j in range(p.lo + 1, p.lo + 1 + t):
+                run(move_type2(p, j, method, accumulate, pending))
+        # chase: pass the pole below the chain up through it, one position at a time
+        for c in range(p.lo, p.hi - 1 - m):
+            for j in range(c + m, c, -1):
+                run(move_type2(p, j, method, accumulate, pending))
+        if new_poles is None:
+            return None
+        # removal: replace the bottom shift, then float the new pole up past the rest
+        for i in range(m):
+            if run(move_type1_bottom(p, new_poles[i], accumulate=accumulate, pending=pending)):
+                return moves[-1].deflation
+            for j in range(p.hi - 2, p.hi - 2 - (m - 1 - i), -1):
+                run(move_type2(p, j, method, accumulate, pending))
+        return None
 
-    # install the chain at the top, deepest-travelling shift first
-    for t in range(m - 1, -1, -1):
-        if run(move_type1_top(p, shifts[t], accumulate=accumulate)):
-            return done(moves[-1].deflation)
-        for j in range(p.lo + 1, p.lo + 1 + t):
-            if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                return done(moves[-1].deflation)
-    # chase: pass the pole below the chain up through it, one position at a time
-    for c in range(p.lo, p.hi - 1 - m):
-        for j in range(c + m, c, -1):
-            if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                return done(moves[-1].deflation)
-    if new_poles is None:
-        return done(None)
-    # removal: replace the bottom shift, then float the new pole up past the rest
-    for i in range(m):
-        if run(move_type1_bottom(p, new_poles[i], accumulate=accumulate)):
-            return done(moves[-1].deflation)
-        for j in range(p.hi - 2, p.hi - 2 - (m - 1 - i), -1):
-            if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                return done(moves[-1].deflation)
-    return done(None)
+    try:
+        deflation = chase()
+    finally:
+        flush_pending(accumulate, pending)
+    return SweepRecord(moves, shifts, new_poles or [], "down", deflation)
 
 
 def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, accumulate=None, margin: float = 1e-6) -> SweepRecord:
@@ -212,45 +220,47 @@ def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, accumulate=None, mar
     else:
         direction = "down"
 
+    pending: list = []
+
     def run(rec: MoveRecord) -> bool:
         moves.append(rec)
         return rec.deflation is not None
 
-    def done(deflation) -> SweepRecord:
-        return SweepRecord(moves, down + up, [], direction, deflation)
+    def chase():
+        m_d = len(down)
+        m_u = len(up)
+        # install the downward chain at the top ...
+        for t in range(m_d - 1, -1, -1):
+            if run(move_type1_top(p, down[t], accumulate=accumulate, pending=pending)):
+                return moves[-1].deflation
+            for j in range(p.lo + 1, p.lo + 1 + t):
+                run(move_type2(p, j, method, accumulate, pending))
+        # ... and the upward chain at the bottom
+        for t in range(m_u):
+            if run(move_type1_bottom(p, up[t], accumulate=accumulate, pending=pending)):
+                return moves[-1].deflation
+            for j in range(p.hi - 2, p.hi - 2 - (m_u - 1 - t), -1):
+                run(move_type2(p, j, method, accumulate, pending))
+        # chase the downward chain to the bottom (everything else floats up
+        # through it, including the upward chain) ...
+        if m_d:
+            for c in range(p.lo, p.hi - 1 - m_d):
+                for j in range(c + m_d, c, -1):
+                    run(move_type2(p, j, method, accumulate, pending))
+        # ... then the upward chain to the top (the displaced interiors float
+        # back down, which is what restores their original positions)
+        if m_u:
+            top = p.hi - 1 - m_d - m_u
+            for c in range(top, p.lo, -1):
+                for j in range(c, c + m_u):
+                    run(move_type2(p, j, method, accumulate, pending))
+        return None
 
-    m_d = len(down)
-    m_u = len(up)
-    # install the downward chain at the top ...
-    for t in range(m_d - 1, -1, -1):
-        if run(move_type1_top(p, down[t], accumulate=accumulate)):
-            return done(moves[-1].deflation)
-        for j in range(p.lo + 1, p.lo + 1 + t):
-            if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                return done(moves[-1].deflation)
-    # ... and the upward chain at the bottom
-    for t in range(m_u):
-        if run(move_type1_bottom(p, up[t], accumulate=accumulate)):
-            return done(moves[-1].deflation)
-        for j in range(p.hi - 2, p.hi - 2 - (m_u - 1 - t), -1):
-            if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                return done(moves[-1].deflation)
-    # chase the downward chain to the bottom (everything else floats up
-    # through it, including the upward chain) ...
-    if m_d:
-        for c in range(p.lo, p.hi - 1 - m_d):
-            for j in range(c + m_d, c, -1):
-                if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                    return done(moves[-1].deflation)
-    # ... then the upward chain to the top (the displaced interiors float
-    # back down, which is what restores their original positions)
-    if m_u:
-        top = p.hi - 1 - m_d - m_u
-        for c in range(top, p.lo, -1):
-            for j in range(c, c + m_u):
-                if run(move_type2(p, j, method=method, accumulate=accumulate)):
-                    return done(moves[-1].deflation)
-    return done(None)
+    try:
+        deflation = chase()
+    finally:
+        flush_pending(accumulate, pending)
+    return SweepRecord(moves, down + up, [], direction, deflation)
 
 
 def _scaled_residual(m: np.ndarray, q: np.ndarray, t: np.ndarray, z: np.ndarray) -> float:
@@ -327,12 +337,12 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
         e = np.eye(0, dtype=complex)
         return SolveResult([], e.copy(), e.copy(), e.copy(), e.copy(), 0.0, 0.0, 0)
 
+    # Q and Z share one (2, n, n) buffer, as A and B do in the pencil
     if is_hessenberg(a) and is_hessenberg(b):
         pencil = HessenbergPencil(a, b)
-        q = np.eye(n, dtype=complex)
-        z = np.eye(n, dtype=complex)
+        qz = np.stack((np.eye(n, dtype=complex),) * 2)
     else:
-        pencil, q, z = reduce_to_hessenberg_triangular(a, b)
+        pencil, qz = reduce_to_hessenberg_triangular(a, b)
     if options.prescribed_poles is not None:
         pencil.lo, pencil.hi = 0, n
         if any(pencil.subdiagonal_pair_is_zero(j) for j in range(n - 1)):
@@ -340,7 +350,10 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
                 "prescribed poles need an unreduced pencil, but the input "
                 "already decouples; solve the subproblems separately"
             )
-        set_poles(pencil, options.prescribed_poles, method=options.method, accumulate=(q, z))
+        # set_poles returns an event only when a move split the pencil
+        # exactly, leaving the rest of the poles uninstalled; the deflation
+        # loop below finds that zero pair itself, so the event is not needed
+        set_poles(pencil, options.prescribed_poles, method=options.method, accumulate=qz)
 
     rng = np.random.default_rng(options.seed)
     sweep_log: list[SweepRecord] = []
@@ -375,7 +388,7 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
             new_pole = make_projective(pencil.a[lo, lo], pencil.b[lo, lo])
         else:
             new_pole = INF
-        rec = basic_sweep(pencil, rho, new_pole, options.method, accumulate=(q, z))
+        rec = basic_sweep(pencil, rho, new_pole, options.method, accumulate=qz)
         if options.record_sweeps:
             sweep_log.append(rec)
         total += 1
@@ -394,13 +407,13 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
     eigenvalues = [
         make_projective(pencil.a[i, i], pencil.b[i, i]) for i in range(n)
     ]
-    r_a, r_b = schur_residuals(a, b, q, z, pencil.a, pencil.b)
+    r_a, r_b = schur_residuals(a, b, qz[0], qz[1], pencil.a, pencil.b)
     return SolveResult(
         eigenvalues=eigenvalues,
         schur_a=pencil.a,
         schur_b=pencil.b,
-        q=q,
-        z=z,
+        q=qz[0],
+        z=qz[1],
         r_a=r_a,
         r_b=r_b,
         iteration_count=total,

@@ -100,14 +100,14 @@ class SwapReport:
     skipped: bool = False
 
 
-def _sylvester_directions(p: TriangularPencil2):
+def _sylvester_directions(a1, a, a2, b1, b, b2):
     """(r, l) solving alpha1 r - alpha2 l = -a, beta1 r - beta2 l = -b.
 
     2x2 Gaussian elimination with partial pivoting on the first column.
     Returns None when the system is singular (equal eigenvalues).
     """
-    m11, m12, r1 = p.alpha1, -p.alpha2, -p.a
-    m21, m22, r2 = p.beta1, -p.beta2, -p.b
+    m11, m12, r1 = a1, -a2, -a
+    m21, m22, r2 = b1, -b2, -b
     if abs(m21) > abs(m11):
         m11, m12, r1, m21, m22, r2 = m21, m22, r2, m11, m12, r1
     if m11 == 0:
@@ -144,12 +144,19 @@ def swap_cores(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW):
     Returns ``(zc, zs, qc, qs)``, the (c, s) pairs of Z and Q, or None when
     there is nothing to swap: the eigenvalues are equal (x = 0, which
     includes both eigenvalues infinite) or the Sylvester system is singular.
-    This is the kernel the solver calls; :func:`swap2x2` adds the swapped
-    pencil and its residuals on top.
+    :func:`swap2x2` adds the swapped pencil and its residuals on top.
     """
-    a1, a, a2 = p.alpha1, p.a, p.alpha2
-    b1, b, b2 = p.beta1, p.b, p.beta2
+    return swap_cores_entries(p.alpha1, p.a, p.alpha2, p.beta1, p.b, p.beta2, method)
 
+
+def swap_cores_entries(a1, a, a2, b1, b, b2, method: SwapMethod = SwapMethod.NEW):
+    """:func:`swap_cores` on the six entries, with no pencil object built.
+
+    The solver's type II moves call this with numpy scalars read straight
+    from the pencil and check regularity themselves.  The bits of the
+    result depend on the entries' type: numpy and Python ``complex`` round
+    complex division differently.
+    """
     # right eigenvector for sigma2; x == 0 iff the eigenvalues coincide
     x1 = a2 * b - b2 * a
     x2 = b2 * a1 - a2 * b1
@@ -157,7 +164,7 @@ def swap_cores(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW):
         return None
 
     if method is SwapMethod.SYLVESTER:
-        rl = _sylvester_directions(p)
+        rl = _sylvester_directions(a1, a, a2, b1, b, b2)
         if rl is None:
             return None
         r, l = rl
@@ -188,16 +195,16 @@ def swap_cores(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW):
 def swap2x2(p: TriangularPencil2, method: SwapMethod = SwapMethod.NEW) -> SwapReport:
     """Swap the two eigenvalues of a regular 2x2 upper-triangular pencil.
 
-    The cores come from :func:`swap_cores`; this adds the swapped pencil and
-    the residuals the studies bin.  Returns a skipped report (identity
-    cores) when there is nothing to swap.
+    The cores come from :func:`swap_cores_entries`; this adds the swapped
+    pencil and the residuals the studies bin.  Returns a skipped report
+    (identity cores) when there is nothing to swap.
     """
-    cores = swap_cores(p, method)
+    a1, a, a2 = p.alpha1, p.a, p.alpha2
+    b1, b, b2 = p.beta1, p.b, p.beta2
+    cores = swap_cores_entries(a1, a, a2, b1, b, b2, method)
     if cores is None:
         return _skip_report(p)
     zc, zs, qc, qs = cores
-    a1, a, a2 = p.alpha1, p.a, p.alpha2
-    b1, b, b2 = p.beta1, p.b, p.beta2
 
     # hatA = Q* (A Z), hatB = Q* (B Z), spelled out on the six entries
     zcc = zc.conjugate()

@@ -455,12 +455,11 @@ def run_verification(seed: int = 0, n: int = 8, pencils: int = 100) -> Verificat
             ),
         ):
             work = p.copy()
-            q = np.eye(n, dtype=complex)
-            z = np.eye(n, dtype=complex)
-            sweep = runner(work, (q, z))
+            qz = np.stack((np.eye(n, dtype=complex),) * 2)
+            sweep = runner(work, qz)
             if sweep.deflation is not None:
                 continue
-            angle = verify_sweep_theorem(a0, b0, sweep, q, z)
+            angle = verify_sweep_theorem(a0, b0, sweep, qz[0], qz[1])
             angles[name] = max(angles[name], angle)
 
         # flag = rational Krylov space of the quotient operators

@@ -107,7 +107,7 @@ class TestPoles:
 class TestCheckProper:
     def test_generic_ht_pair_is_proper(self):
         rng = np.random.default_rng(0)
-        p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
         assert check_proper(p).is_proper
 
     def test_identical_matrices_proportional_columns(self):
@@ -134,7 +134,7 @@ class TestReduction:
     def test_already_reduced_pair(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         b = np.array([[2, 1], [0, 1]], dtype=complex)
-        p, q, z = reduce_to_hessenberg_triangular(a, b)
+        p, (q, z) = reduce_to_hessenberg_triangular(a, b)
         assert is_hessenberg(p.a)
         assert not np.any(np.tril(p.b, -1))
         for v in p.poles():
@@ -142,13 +142,13 @@ class TestReduction:
         np.testing.assert_allclose(q @ p.a @ z.conj().T, a, atol=20 * U * np.linalg.norm(a))
 
     def test_n_equals_one(self):
-        p, q, z = reduce_to_hessenberg_triangular(np.array([[2.0]]), np.array([[3.0]]))
+        p, (q, z) = reduce_to_hessenberg_triangular(np.array([[2.0]]), np.array([[3.0]]))
         assert p.a[0, 0] != 0
 
     def test_random_6x6_pattern_and_residual(self):
         rng = np.random.default_rng(3)
         a, b = random_pair(rng, 6)
-        p, q, z = reduce_to_hessenberg_triangular(a, b)
+        p, (q, z) = reduce_to_hessenberg_triangular(a, b)
         n = 6
         assert is_hessenberg(p.a)
         assert not np.any(np.tril(p.b, -1))
@@ -165,7 +165,7 @@ class TestReduction:
         rng = np.random.default_rng(4)
         for _ in range(5):
             a, b = random_pair(rng, 5)
-            p, _, _ = reduce_to_hessenberg_triangular(a, b)
+            p, _ = reduce_to_hessenberg_triangular(a, b)
             before = np.sort_complex(np.linalg.eigvals(np.linalg.solve(b, a)))
             after = np.sort_complex(np.linalg.eigvals(np.linalg.solve(p.b, p.a)))
             for x, y in zip(before, after):
@@ -176,7 +176,7 @@ class TestReduction:
 class TestSetPoles:
     def test_all_infinite_on_ht_pair_is_noop(self):
         rng = np.random.default_rng(5)
-        p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
         a0, b0 = p.a.copy(), p.b.copy()
         inf = make_projective(1.0, 0.0)
         assert set_poles(p, [inf] * 4) is None
@@ -187,7 +187,7 @@ class TestSetPoles:
         from poleswap.moves import move_type1_top
 
         rng = np.random.default_rng(6)
-        p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
+        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
         q = p.copy()
         rho = make_projective(0.7 - 0.2j, 1.0)
         set_poles(p, [rho])
@@ -199,7 +199,7 @@ class TestSetPoles:
     def test_random_targets_installed(self):
         rng = np.random.default_rng(7)
         for trial in range(5):
-            p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+            p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
             targets = [
                 make_projective(10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.random()), 1.0)
                 for _ in range(4)
@@ -211,7 +211,7 @@ class TestSetPoles:
     def test_move_count_bound(self):
         rng = np.random.default_rng(21)
         for n in (5, 6, 9):
-            p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, n))
+            p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, n))
             targets = [
                 make_projective(rng.normal() + 1j * rng.normal(), 1.0)
                 for _ in range(n - 1)
@@ -224,11 +224,38 @@ class TestSetPoles:
     def test_installation_preserves_equivalence(self):
         rng = np.random.default_rng(8)
         a, b = random_pair(rng, 5)
-        p, q, z = reduce_to_hessenberg_triangular(a, b)
+        p, qz = reduce_to_hessenberg_triangular(a, b)
+        q, z = qz
         targets = [make_projective(c, 1.0) for c in (2.0, -1.0j, 0.5 + 0.5j, 3.0)]
-        set_poles(p, targets, accumulate=(q, z))
+        set_poles(p, targets, accumulate=qz)
         res = np.linalg.norm(a - q @ p.a @ z.conj().T) / np.linalg.norm(a)
         assert res <= 1e-13
+
+    def test_graded_installation_is_complete(self):
+        # A x 1e150, B x 1e-150, finite poles of the eigenvalues' size: the
+        # leading subdiagonal pair turns negligible mid-installation, which
+        # is not an exact split, so every target is still installed
+        n = 60
+        rng = np.random.default_rng(13)
+        a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 1e150
+        b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 1e-150
+        mods = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
+        phases = rng.uniform(0.0, 2.0 * math.pi, n - 1)
+        targets = [
+            make_projective(complex(m * math.cos(t), m * math.sin(t)) * 1e150, 1e-150)
+            for m, t in zip(mods, phases)
+        ]
+        p, qz = reduce_to_hessenberg_triangular(a, b)
+        records = []
+        assert set_poles(p, targets, accumulate=qz, record=records) is None
+        # two-sided order: k = 30 targets from the top, 29 from the bottom
+        m, k = n - 1, n // 2
+        kinds = [r.kind for r in records]
+        assert kinds.count("type2") == k * (k - 1) // 2 + (m - k) * (m - k - 1) // 2 == 841
+        assert len(records) - kinds.count("type2") == m
+        assert all(r.deflation is None for r in records)
+        for got, want in zip(p.poles(), targets):
+            assert abs(projective_gap(got, want)) <= 1e-12 * abs(got.alpha * want.beta)
 
 
 def projective_gap(p, q):
@@ -246,7 +273,7 @@ class TestDetectDeflations:
 
     def test_no_small_pairs(self):
         rng = np.random.default_rng(9)
-        p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 4))
+        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 4))
         # B-subdiagonals are exactly zero but A's are O(1): no deflation
         assert detect_deflations(p) == []
 

@@ -63,19 +63,19 @@ class TestChooseShift:
 class TestBasicSweep:
     def test_n2_degenerates_to_two_type1_moves(self):
         rng = np.random.default_rng(0)
-        p, _, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
+        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
         rec = basic_sweep(p, make_projective(1.0, 1.0), INF)
         assert [m.kind for m in rec.moves] == ["type1_top", "type1_bottom"]
 
     def test_qz_equivalence_on_ht_pair(self):
         rng = np.random.default_rng(1)
         a, b = random_pair(rng, 10)
-        p, _, _ = reduce_to_hessenberg_triangular(a, b)
+        p, _ = reduce_to_hessenberg_triangular(a, b)
         a0, b0 = p.a.copy(), p.b.copy()
-        q = np.eye(10, dtype=complex)
-        z = np.eye(10, dtype=complex)
+        qz = np.stack((np.eye(10, dtype=complex),) * 2)
+        q, z = qz
         rho = choose_shift(p, "rayleigh")
-        basic_sweep(p, rho, INF, accumulate=(q, z))
+        basic_sweep(p, rho, INF, accumulate=qz)
         assert np.linalg.norm(np.tril(p.b, -1)) <= 1e-14 * np.linalg.norm(p.b)
         e1 = np.zeros(10, dtype=complex)
         e1[0] = 1.0
@@ -150,7 +150,7 @@ class TestMultishift:
         tb += np.eye(n)
         a = qm @ ta @ zm.conj().T
         b = qm @ tb @ zm.conj().T
-        p, _, _ = reduce_to_hessenberg_triangular(a, b)
+        p, _ = reduce_to_hessenberg_triangular(a, b)
         isolating = []
         for _ in range(4):
             corner = slice(p.hi - 2, p.hi)
