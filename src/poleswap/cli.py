@@ -15,6 +15,7 @@ from . import theory
 from .experiments import (
     StressDistribution,
     emit_results,
+    rows_to_csv,
     run_accuracy_experiment,
     run_swap_benchmark,
     summary_payload,
@@ -89,19 +90,6 @@ def _write(payload: dict, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _rows_to_csv(payload: dict, rows_key: str, columns: list[str]) -> str:
-    # metadata as leading comment lines, matching the experiment emitters
-    lines = [
-        f"# {key}={json.dumps(value, sort_keys=True)}"
-        for key, value in payload.items()
-        if key != rows_key
-    ]
-    lines.append(",".join(columns))
-    for row in payload[rows_key]:
-        lines.append(",".join(str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -171,7 +159,7 @@ def cmd_eig(args) -> int:
         csv_payload = {k: v for k, v in payload.items() if k != "eigenvalues"}
         csv_payload["rows"] = rows
         _write_text(
-            _rows_to_csv(csv_payload, "rows", ["alpha_re", "alpha_im", "beta_re", "beta_im"]),
+            rows_to_csv(csv_payload, "rows", ["alpha_re", "alpha_im", "beta_re", "beta_im"]),
             args.out,
         )
     else:
@@ -239,7 +227,7 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         if args.format == "csv":
             _write_text(
-                _rows_to_csv(payload, "checks", ["name", "max_angle", "threshold", "passed"]),
+                rows_to_csv(payload, "checks", ["name", "max_angle", "threshold", "passed"]),
                 args.out,
             )
         else:

@@ -368,29 +368,35 @@ def _payload_of(obj) -> dict:
     raise TypeError(f"cannot emit {type(obj).__name__}")
 
 
-def render_csv(obj) -> str:
-    """CSV rendering: metadata as leading comment lines, then fixed columns."""
-    payload = _payload_of(obj)
+def rows_to_csv(payload: dict, rows_key: str, columns: list[str]) -> str:
+    """CSV text of a result payload: every key but ``rows_key`` as a leading
+    ``# key=<json>`` comment line, then the header ``columns`` and one line
+    per row of ``payload[rows_key]``.  Cells are ``str()`` of the values,
+    quoted by the csv module where they need it, and every line ends in LF.
+    The one CSV writer of the package: the studies and the CLI use it."""
     buf = io.StringIO()
     for key, value in payload.items():
-        if key == "rows":
-            continue
-        buf.write(f"# {key}={json.dumps(value, sort_keys=True)}\n")
-    if payload["kind"] == "swap_benchmark":
-        writer = csv.writer(buf)
-        writer.writerow(["method", "matrix", "denominator", "bin", "count"])
-        for row in payload["rows"]:
-            writer.writerow(
-                [row["method"], row["matrix"], row["denominator"], row["bin"], row["count"]]
-            )
-    else:
-        writer = csv.writer(buf)
-        writer.writerow(["field", "value"])
-        for key, value in payload.items():
-            if key == "kind":
-                continue
-            writer.writerow([key, json.dumps(value, sort_keys=True)])
+        if key != rows_key:
+            buf.write(f"# {key}={json.dumps(value, sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([str(row[c]) for c in columns] for row in payload[rows_key])
     return buf.getvalue()
+
+
+def render_csv(obj) -> str:
+    """CSV rendering: metadata as leading comment lines, then fixed columns
+    (one line per histogram bin, or one ``field,value`` line per summary
+    field)."""
+    payload = _payload_of(obj)
+    if payload["kind"] == "swap_benchmark":
+        return rows_to_csv(payload, "rows", ["method", "matrix", "denominator", "bin", "count"])
+    fields = [
+        {"field": key, "value": json.dumps(value, sort_keys=True)}
+        for key, value in payload.items()
+        if key != "kind"
+    ]
+    return rows_to_csv({**payload, "rows": fields}, "rows", ["field", "value"])
 
 
 def emit_results(obj, format: str, path) -> None:

@@ -13,6 +13,17 @@ move leaves outside the Hessenberg pattern is the swap residual at
 (j+1, j-1): its modulus is recorded as ``zeroed_a``/``zeroed_b`` and the
 entry is set to exact zero.
 
+Every pole-swapping algorithm installs poles with type I moves, chases them
+with type II moves and removes them at the far end; single-shift QZ,
+multishift and bidirectional sweeps and pole installation differ only in
+which chains go where.  So the chain logic lives here once:
+:func:`install_chains` puts a downward chain at the top of the active window
+and an upward chain at its bottom, and :func:`chase_chains` carries them
+through each other to the far ends and, given replacement poles, removes
+the downward chain.  The sweeps of :mod:`poleswap.rqz` and
+:func:`poleswap.pencil.set_poles` only choose the chains.  A type I move
+that deflates ends the chain work, since no pole can cross a split.
+
 Every move returns a :class:`MoveRecord` (cores, poles in and out, any
 deflation) for the convergence-theory checks.  A type II move stores the two
 subdiagonal pairs it reads as they are; they become normalized
@@ -22,7 +33,7 @@ subdiagonal pairs it reads as they are; they become normalized
 every core is applied to it from the right.  Along a downward chain the Q
 core of one move and the Z core of the next act on the same two columns
 (type I top: Q at lo; type II at j: Q at j and Z at j-1; type I bottom: Z at
-hi-2).  So the sweeps and ``set_poles`` pass a one-slot ``pending`` list: a
+hi-2).  So the chain routines pass each move a one-slot ``pending`` list: a
 move holds its Q core there, the next Z core on the same columns is applied
 together with it in one stacked matmul, a held core with no such partner is
 applied alone when the next Z or Q core arrives, and :func:`flush_pending`
@@ -49,7 +60,7 @@ from .numerics import (
     core_row_annihilating,
     make_projective,
 )
-from .pencil import DeflationEvent, HessenbergPencil, PencilSplit
+from .pencil import DeflationEvent, PencilSplit, pair_is_negligible
 from .swapkernel import SwapMethod, swap_cores_entries
 
 
@@ -127,17 +138,6 @@ def _accumulate_z(qz, pending, c: complex, s: complex, j: int) -> np.ndarray:
     return zr
 
 
-def _deflation_check(p: HessenbergPencil, j: int, eps: float) -> bool:
-    sa = abs(p.a[j, j]) + abs(p.a[j + 1, j + 1])
-    sb = abs(p.b[j, j]) + abs(p.b[j + 1, j + 1])
-    act = slice(p.lo, p.hi)
-    if sa == 0.0:
-        sa = float(np.linalg.norm(p.a[act, act]))
-    if sb == 0.0:
-        sb = float(np.linalg.norm(p.b[act, act]))
-    return abs(p.a[j + 1, j]) <= eps * sa and abs(p.b[j + 1, j]) <= eps * sb
-
-
 def move_type1_top(p, rho, accumulate=None, eps: float | None = None, pending=None) -> MoveRecord:
     """Replace the first pole of the active window by ``rho``.
 
@@ -166,7 +166,7 @@ def move_type1_top(p, rho, accumulate=None, eps: float | None = None, pending=No
         if accumulate is not None:
             _accumulate_q(accumulate, pending, core.c, core.s, lo)
     deflation = None
-    if _deflation_check(p, lo, eps):
+    if pair_is_negligible(p, lo, eps, [None, None]):
         p.a[lo + 1, lo] = 0.0
         p.b[lo + 1, lo] = 0.0
         deflation = DeflationEvent(
@@ -200,7 +200,7 @@ def move_type1_bottom(p, tau, accumulate=None, eps: float | None = None, pending
         if accumulate is not None:
             _accumulate_z(accumulate, pending, core.c, core.s, k - 1)
     deflation = None
-    if _deflation_check(p, k - 1, eps):
+    if pair_is_negligible(p, k - 1, eps, [None, None]):
         p.a[k, k - 1] = 0.0
         p.b[k, k - 1] = 0.0
         deflation = DeflationEvent(
@@ -264,3 +264,88 @@ def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, accumulate=None, 
         zeroed_a,
         zeroed_b,
     )
+
+
+# ---------------------------------------------------------------------------
+# Pole chains
+# ---------------------------------------------------------------------------
+
+
+def _installation(lo: int, hi: int, down: list, up: list):
+    # down[t] is chased to lo+t, deepest first, so the chain ends in order;
+    # up[t] ends at hi-1-len(up)+t
+    for t in range(len(down) - 1, -1, -1):
+        yield "type1_top", down[t]
+        for j in range(lo + 1, lo + 1 + t):
+            yield "type2", j
+    for t in range(len(up)):
+        yield "type1_bottom", up[t]
+        for j in range(hi - 2, hi - 1 - len(up) + t, -1):
+            yield "type2", j
+
+
+def _chase(lo: int, hi: int, down: list, up: list, new_poles: list | None):
+    yield from _installation(lo, hi, down, up)
+    m_d, m_u = len(down), len(up)
+    # carry the downward chain to the bottom: each pole below it floats up
+    # through it, the upward chain included ...
+    for c in range(lo, hi - 1 - m_d):
+        for j in range(c + m_d, c, -1):
+            yield "type2", j
+    # ... then the upward chain to the top; the interior poles it displaces
+    # float back down to where they started
+    if m_u:
+        for c in range(hi - 1 - m_d - m_u, lo, -1):
+            for j in range(c, c + m_u):
+                yield "type2", j
+    # removing the downward chain is installing the new poles at the bottom
+    if new_poles is not None:
+        yield from _installation(lo, hi, [], new_poles)
+
+
+def _run(p, steps, method, accumulate, eps):
+    # the one owner of the move list, the held Q core and the stop rule
+    moves: list[MoveRecord] = []
+    pending: list = []
+    try:
+        for kind, arg in steps:
+            if kind == "type2":
+                rec = move_type2(p, arg, method, accumulate, pending)
+            elif kind == "type1_top":
+                rec = move_type1_top(p, arg, accumulate, eps, pending)
+            else:
+                rec = move_type1_bottom(p, arg, accumulate, eps, pending)
+            moves.append(rec)
+            if rec.deflation is not None:
+                return moves, rec.deflation
+    finally:
+        flush_pending(accumulate, pending)
+    return moves, None
+
+
+def install_chains(p, down, up, method=SwapMethod.NEW, accumulate=None, eps: float | None = None):
+    """Install a downward chain at the top of the active window and an
+    upward chain at its bottom.
+
+    ``down[t]`` is installed by a type I top move and chased by type II
+    moves to position lo+t, last element first; ``up[t]`` is installed by a
+    type I bottom move and ends at position hi-1-len(up)+t.  ``eps`` is the
+    type I moves' deflation threshold.  Returns ``(moves, deflation)``: the
+    move records in order, and the event of the first type I move that
+    deflated (which ends the installation) or None.
+    """
+    return _run(p, _installation(p.lo, p.hi, down, up), method, accumulate, eps)
+
+
+def chase_chains(p, down, up, new_poles=None, method=SwapMethod.NEW, accumulate=None):
+    """Install two chains as :func:`install_chains` does, then carry the
+    downward chain to the bottom of the window and the upward chain to its
+    top, through each other.
+
+    With ``new_poles`` (one per downward pole) the downward chain is then
+    removed at the bottom: the new poles are installed there as an upward
+    chain, each replacing the lowest downward pole left.  Without, the
+    chains stay parked at the far ends.  Returns ``(moves, deflation)`` as
+    :func:`install_chains` does; the first deflation ends the chase.
+    """
+    return _run(p, _chase(p.lo, p.hi, down, up, new_poles), method, accumulate, None)

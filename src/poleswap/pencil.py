@@ -3,7 +3,7 @@
 A Hessenberg pair is a pair of upper Hessenberg matrices (A, B); the ratios
 a[j+1, j] / b[j+1, j] along the shared subdiagonal are its poles.  This module
 provides pole extraction, properness checks, the direct Hessenberg-triangular
-reduction, prescribed-pole installation, deflation detection, and the on-disk
+reduction, prescribed-pole installation, the deflation test, and the on-disk
 matrix-pair format used by the CLI.
 
 Entries below the first subdiagonal are kept at exact zero: every routine that
@@ -205,36 +205,47 @@ def reduce_to_hessenberg_triangular(a, b):
     return HessenbergPencil(a, b), qz
 
 
+def pair_is_negligible(p: HessenbergPencil, j: int, eps: float, norms: list) -> bool:
+    """Whether the subdiagonal pair at position j is negligible.
+
+    It is when BOTH |a[j+1,j]| <= eps*(|a[j,j]| + |a[j+1,j+1]|) and the same
+    holds for B.  A vanishing neighbour sum falls back to the Frobenius norm
+    of that matrix's active block.  ``norms`` caches the two fallback norms
+    (pass ``[None, None]``), so a scan that shares it computes each at most
+    once, and only when a neighbour sum vanishes.  This is the one
+    deflation test: type I moves and :func:`detect_deflations` both use it.
+    """
+    a, b = p.a, p.b
+    sa = abs(a[j, j]) + abs(a[j + 1, j + 1])
+    sb = abs(b[j, j]) + abs(b[j + 1, j + 1])
+    if sa == 0.0:
+        if norms[0] is None:
+            norms[0] = float(np.linalg.norm(a[p.lo : p.hi, p.lo : p.hi]))
+        sa = norms[0]
+    if sb == 0.0:
+        if norms[1] is None:
+            norms[1] = float(np.linalg.norm(b[p.lo : p.hi, p.lo : p.hi]))
+        sb = norms[1]
+    return abs(a[j + 1, j]) <= eps * sa and abs(b[j + 1, j]) <= eps * sb
+
+
 def detect_deflations(p: HessenbergPencil, eps: float | None = None) -> list[DeflationEvent]:
     """Zero negligible subdiagonal pairs in the active window and report them.
 
-    Position j splits when BOTH |a[j+1,j]| <= eps*(|a[j,j]| + |a[j+1,j+1]|)
-    and the same for B; a vanishing neighbour sum falls back to the Frobenius
-    norm of the active block, computed at most once per call and only when
-    a neighbour sum vanishes.  The negligible pairs are zeroed after the
-    scan, so that norm is always the one of the block as it was passed in.
-    Splits at the window edges expose 1x1 blocks and are reported as
-    eigenvalue events.
+    Each position is tested by :func:`pair_is_negligible`, with one norm
+    cache for the whole scan.  The negligible pairs are zeroed after the
+    scan, so a fallback norm is always the one of the block as it was
+    passed in.  Splits at the window edges expose 1x1 blocks and are
+    reported as eigenvalue events.
     """
     if eps is None:
         eps = UNIT_ROUNDOFF
     a, b = p.a, p.b
     lo, hi = p.lo, p.hi
     events: list[DeflationEvent] = []
-    act = slice(lo, hi)
-    fallback_a = fallback_b = None
+    norms = [None, None]
     for j in range(lo, hi - 1):
-        sa = abs(a[j, j]) + abs(a[j + 1, j + 1])
-        sb = abs(b[j, j]) + abs(b[j + 1, j + 1])
-        if sa == 0.0:
-            if fallback_a is None:
-                fallback_a = float(np.linalg.norm(a[act, act]))
-            sa = fallback_a
-        if sb == 0.0:
-            if fallback_b is None:
-                fallback_b = float(np.linalg.norm(b[act, act]))
-            sb = fallback_b
-        if abs(a[j + 1, j]) <= eps * sa and abs(b[j + 1, j]) <= eps * sb:
+        if pair_is_negligible(p, j, eps, norms):
             if j == hi - 2:
                 events.append(
                     DeflationEvent(
@@ -259,8 +270,10 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
     order and half from the bottom, which halves the move count relative to
     one-sided installation: with m = active_n - 1 targets and k = ceil(m/2)
     of them from the top, k(k-1)/2 + (m-k)(m-k-1)/2 type II moves (at most
-    ceil(m^2/4)) plus m type I moves.  Mutates the pencil in place;
-    ``accumulate`` is the (2, n, n) Q/Z stack.
+    ceil(m^2/4)) plus m type I moves.  This is the chain installer of
+    :mod:`poleswap.moves` on its own, with ``targets[:k]`` as the downward
+    chain and ``targets[k:]`` as the upward one.  Mutates the pencil in
+    place; ``accumulate`` is the (2, n, n) Q/Z stack.
 
     The type I moves report a deflation only on an exactly zero subdiagonal
     pair (``eps=0``): a merely negligible pair is left for the solver's own
@@ -270,7 +283,7 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
     installed.  Otherwise returns None.  ``record``, if a list, collects the
     MoveRecords.
     """
-    from .moves import flush_pending, move_type1_bottom, move_type1_top, move_type2
+    from .moves import install_chains
     from .swapkernel import SwapMethod
 
     if method is None:
@@ -281,37 +294,11 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
         raise ValueError(f"need {m} target poles, got {len(targets)}")
     if m <= 0:
         return None
-    pending: list = []
-
-    def run(rec):
-        if record is not None:
-            record.append(rec)
-        return rec.deflation
-
-    def install():
-        k = (m + 1) // 2
-        # top group: targets[k-1], ..., targets[0], each chased down into place
-        for t in range(k - 1, -1, -1):
-            event = run(move_type1_top(p, targets[t], accumulate=accumulate, eps=0.0, pending=pending))
-            if event is not None:
-                return event
-            for j in range(p.lo + 1, p.lo + 1 + t):
-                run(move_type2(p, j, method, accumulate, pending))
-        # bottom group: targets[k], ..., targets[m-1], each chased up into place
-        for t in range(k, m):
-            event = run(
-                move_type1_bottom(p, targets[t], accumulate=accumulate, eps=0.0, pending=pending)
-            )
-            if event is not None:
-                return event
-            for j in range(p.hi - 2, p.lo + t, -1):
-                run(move_type2(p, j, method, accumulate, pending))
-        return None
-
-    try:
-        return install()
-    finally:
-        flush_pending(accumulate, pending)
+    k = (m + 1) // 2
+    moves, deflation = install_chains(p, targets[:k], targets[k:], method, accumulate, eps=0.0)
+    if record is not None:
+        record.extend(moves)
+    return deflation
 
 
 # ---------------------------------------------------------------------------

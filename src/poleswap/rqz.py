@@ -5,8 +5,9 @@ through every interior position (type II), and removes it at the bottom while
 installing a replacement pole (type I).  With all poles infinite this is
 exactly single-shift QZ.  Multishift sweeps chase a chain of shifts together;
 bidirectional sweeps pass a downward chain and an upward chain through each
-other.  The solver wraps the sweeps in a deflation loop and accumulates the
-Schur transformation.
+other.  All three are :func:`poleswap.moves.chase_chains` with different
+chains; this module adds their argument checks.  The solver wraps the
+sweeps in a deflation loop and accumulates the Schur transformation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .moves import MoveRecord, flush_pending, move_type1_bottom, move_type1_top, move_type2
+from .moves import MoveRecord, chase_chains
 from .numerics import (
     UNIT_ROUNDOFF,
     ProjectiveValue,
@@ -42,9 +43,10 @@ class SweepRecord:
     """Ordered move log of one sweep.
 
     ``shift_in`` lists the shifts introduced; ``pole_out`` the replacement
-    poles installed by the closing type I moves (empty for bidirectional
-    sweeps, which leave their chains in the pencil).  A deflation event
-    truncates the log.
+    poles the sweep was asked to install with its closing type I moves,
+    also when a deflation ended it before them (empty for bidirectional
+    sweeps and parked multishift sweeps, which leave their chains in the
+    pencil).  A deflation event truncates the log.
     """
 
     moves: list[MoveRecord]
@@ -121,20 +123,8 @@ def basic_sweep(p, rho, new_pole=INF, method=SwapMethod.NEW, accumulate=None) ->
     the sweep (a success: the caller restarts on the subblocks).
     ``accumulate`` is the (2, n, n) Q/Z stack; each Q core is applied
     together with the next move's Z core (see :mod:`poleswap.moves`)."""
-    moves: list[MoveRecord] = []
-    pending: list = []
-    try:
-        rec = move_type1_top(p, rho, accumulate=accumulate, pending=pending)
-        moves.append(rec)
-        if rec.deflation is not None:
-            return SweepRecord(moves, [rho], [], "down", rec.deflation)
-        for j in range(p.lo + 1, p.hi - 1):
-            moves.append(move_type2(p, j, method, accumulate, pending))
-        rec = move_type1_bottom(p, new_pole, accumulate=accumulate, pending=pending)
-        moves.append(rec)
-    finally:
-        flush_pending(accumulate, pending)
-    return SweepRecord(moves, [rho], [new_pole], "down", rec.deflation)
+    moves, deflation = chase_chains(p, [rho], [], [new_pole], method, accumulate)
+    return SweepRecord(moves, [rho], [new_pole], "down", deflation)
 
 
 def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW, accumulate=None) -> SweepRecord:
@@ -157,38 +147,7 @@ def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW, accumulate=Non
         new_poles = list(new_poles)
         if len(new_poles) != m:
             raise ValueError("need exactly one replacement pole per shift")
-    moves: list[MoveRecord] = []
-    pending: list = []
-
-    def run(rec: MoveRecord) -> bool:
-        moves.append(rec)
-        return rec.deflation is not None
-
-    def chase():
-        # install the chain at the top, deepest-travelling shift first
-        for t in range(m - 1, -1, -1):
-            if run(move_type1_top(p, shifts[t], accumulate=accumulate, pending=pending)):
-                return moves[-1].deflation
-            for j in range(p.lo + 1, p.lo + 1 + t):
-                run(move_type2(p, j, method, accumulate, pending))
-        # chase: pass the pole below the chain up through it, one position at a time
-        for c in range(p.lo, p.hi - 1 - m):
-            for j in range(c + m, c, -1):
-                run(move_type2(p, j, method, accumulate, pending))
-        if new_poles is None:
-            return None
-        # removal: replace the bottom shift, then float the new pole up past the rest
-        for i in range(m):
-            if run(move_type1_bottom(p, new_poles[i], accumulate=accumulate, pending=pending)):
-                return moves[-1].deflation
-            for j in range(p.hi - 2, p.hi - 2 - (m - 1 - i), -1):
-                run(move_type2(p, j, method, accumulate, pending))
-        return None
-
-    try:
-        deflation = chase()
-    finally:
-        flush_pending(accumulate, pending)
+    moves, deflation = chase_chains(p, shifts, [], new_poles, method, accumulate)
     return SweepRecord(moves, shifts, new_poles or [], "down", deflation)
 
 
@@ -212,54 +171,13 @@ def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, accumulate=None, mar
     n_act = p.active_n
     if len(down) + len(up) > n_act - 1:
         raise ValueError("too many shifts for the active block")
-    moves: list[MoveRecord] = []
     if down and up:
         direction = "bidirectional"
     elif up:
         direction = "up"
     else:
         direction = "down"
-
-    pending: list = []
-
-    def run(rec: MoveRecord) -> bool:
-        moves.append(rec)
-        return rec.deflation is not None
-
-    def chase():
-        m_d = len(down)
-        m_u = len(up)
-        # install the downward chain at the top ...
-        for t in range(m_d - 1, -1, -1):
-            if run(move_type1_top(p, down[t], accumulate=accumulate, pending=pending)):
-                return moves[-1].deflation
-            for j in range(p.lo + 1, p.lo + 1 + t):
-                run(move_type2(p, j, method, accumulate, pending))
-        # ... and the upward chain at the bottom
-        for t in range(m_u):
-            if run(move_type1_bottom(p, up[t], accumulate=accumulate, pending=pending)):
-                return moves[-1].deflation
-            for j in range(p.hi - 2, p.hi - 2 - (m_u - 1 - t), -1):
-                run(move_type2(p, j, method, accumulate, pending))
-        # chase the downward chain to the bottom (everything else floats up
-        # through it, including the upward chain) ...
-        if m_d:
-            for c in range(p.lo, p.hi - 1 - m_d):
-                for j in range(c + m_d, c, -1):
-                    run(move_type2(p, j, method, accumulate, pending))
-        # ... then the upward chain to the top (the displaced interiors float
-        # back down, which is what restores their original positions)
-        if m_u:
-            top = p.hi - 1 - m_d - m_u
-            for c in range(top, p.lo, -1):
-                for j in range(c, c + m_u):
-                    run(move_type2(p, j, method, accumulate, pending))
-        return None
-
-    try:
-        deflation = chase()
-    finally:
-        flush_pending(accumulate, pending)
+    moves, deflation = chase_chains(p, down, up, None, method, accumulate)
     return SweepRecord(moves, down + up, [], direction, deflation)
 
 
