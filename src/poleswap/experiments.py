@@ -69,13 +69,6 @@ def _stress_block(dist: StressDistribution, rng, rows: int, cols: int) -> np.nda
     return moduli * np.exp(1j * phases)
 
 
-def random_stress_entry(dist: StressDistribution, rng) -> complex:
-    """One random complex scalar from the stress law."""
-    modulus = 10.0 ** rng.uniform(dist.min_exponent, dist.max_exponent)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(modulus * math.cos(phase), modulus * math.sin(phase))
-
-
 @dataclass
 class ResidualHistogram:
     """Counts per (method, matrix, denominator) over the five residual bins."""

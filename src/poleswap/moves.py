@@ -29,35 +29,39 @@ deflation) for the convergence-theory checks.  A type II move stores the two
 subdiagonal pairs it reads as they are; they become normalized
 :class:`ProjectiveValue` objects only when ``pole_in``/``pole_out`` is read.
 
-``accumulate`` is a (2, n, n) stack holding Q in ``[0]`` and Z in ``[1]``;
-every core is applied to it from the right.  Along a downward chain the Q
-core of one move and the Z core of the next act on the same two columns
-(type I top: Q at lo; type II at j: Q at j and Z at j-1; type I bottom: Z at
-hi-2).  So the chain routines pass each move a one-slot ``pending`` list: a
-move holds its Q core there, the next Z core on the same columns is applied
-together with it in one stacked matmul, a held core with no such partner is
-applied alone when the next Z or Q core arrives, and :func:`flush_pending`
-applies the last one.  Q and Z are only written while moves run, so holding
-a Q core back changes no bit of either.  A move called without ``pending``
-applies its cores at once.
+Every core is also accumulated into the pencil's own Q and Z, which share
+its (4, n, n) buffer (A, B, Z, Q; see :class:`poleswap.pencil.HessenbergPencil`).
+A right core updates A, B and Z with one matmul on ``m[:3]``; a left core
+updates A and B with one matmul on ``ab``.  Along a downward chain the Q
+core of one move and the right core of the next act on the same two columns
+(type I top: Q at lo; type II at j: Q at j and Z at j-1; type I bottom: Z
+at hi-2).  So the chain routines pass each move a one-slot ``pending``
+list: a move holds its Q core there, and the next right core on the same
+columns widens its matmul to all of ``m`` with the 2x2 arrays
+``[z, z, z, q]``.  A held core with no such partner is applied alone when
+the next right or Q core arrives, and :func:`flush_pending` applies the
+last one.  Q is only written while moves run, so holding a Q core back
+changes none of its bits.  A move called without ``pending`` applies its
+cores at once.  A type II move of a downward chain makes two numpy
+matmuls, its fused right update and its left one.  A move followed by one a
+position higher (the bottom half of ``set_poles``, the upward half of a
+bidirectional sweep, the chase of two or more shifts) makes three, since its
+Q core meets no right core on its columns and is applied alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import (
     UNIT_ROUNDOFF,
     CoreTransformation,
     ProjectiveValue,
-    apply_core,
+    _annihilate,
+    _row_annihilate,
     apply_core_matrix,
-    core_annihilating,
     core_matrix,
-    core_pair_matrix,
-    core_row_annihilating,
+    core_stack_matrix,
     make_projective,
 )
 from .pencil import DeflationEvent, PencilSplit, pair_is_negligible
@@ -103,42 +107,37 @@ class MoveRecord:
         return v
 
 
-def flush_pending(qz, pending: list) -> None:
-    """Apply the Q core held in ``pending``, if any, to ``qz[0]``."""
+def flush_pending(p, pending: list) -> None:
+    """Apply the Q core held in ``pending``, if any, to ``p.q``."""
     if pending:
         j, c, s = pending
         pending.clear()
-        apply_core_matrix(qz[0], core_matrix(c, s), j, "right")
+        apply_core_matrix(p.q, core_matrix(c, s), j, "right")
 
 
-def _accumulate_q(qz, pending, c: complex, s: complex, j: int) -> None:
-    # hold the Q core for the next Z core, or apply it now without a chain
+def _hold_q(p, pending, c: complex, s: complex, j: int) -> None:
+    # hold the Q core for the next right core, or apply it now without a chain
     if pending is None:
-        apply_core_matrix(qz[0], core_matrix(c, s), j, "right")
+        apply_core_matrix(p.q, core_matrix(c, s), j, "right")
         return
-    flush_pending(qz, pending)
+    flush_pending(p, pending)
     pending.extend((j, c, s))
 
 
-def _accumulate_z(qz, pending, c: complex, s: complex, j: int) -> np.ndarray:
-    """The Z core (c, s) at columns (j, j+1) as a 2x2 array, applied to
-    ``qz[1]`` when ``qz`` is given.  A held Q core goes first: in the same
-    matmul when it acts on the same columns, alone otherwise."""
-    if qz is None:
-        return core_matrix(c, s)
+def _apply_right(p, pending, c: complex, s: complex, j: int) -> None:
+    """Apply the right core (c, s) at columns (j, j+1) to A, B and Z in one
+    matmul.  A held Q core on the same columns joins that matmul; one held
+    on other columns is applied alone."""
     if pending and pending[0] == j:
         _, qc, qs = pending
         pending.clear()
-        pair = core_pair_matrix(qc, qs, c, s)
-        apply_core_matrix(qz, pair, j, "right")
-        return pair[1]
-    flush_pending(qz, pending)
-    zr = core_matrix(c, s)
-    apply_core_matrix(qz[1], zr, j, "right")
-    return zr
+        apply_core_matrix(p.m, core_stack_matrix(c, s, qc, qs), j, "right")
+        return
+    flush_pending(p, pending)
+    apply_core_matrix(p.m[:3], core_matrix(c, s), j, "right")
 
 
-def move_type1_top(p, rho, accumulate=None, eps: float | None = None, pending=None) -> MoveRecord:
+def move_type1_top(p, rho, eps: float | None = None, pending=None) -> MoveRecord:
     """Replace the first pole of the active window by ``rho``.
 
     Builds the core annihilating the second entry of (beta A - alpha B) e_lo
@@ -158,13 +157,13 @@ def move_type1_top(p, rho, accumulate=None, eps: float | None = None, pending=No
     v2 = beta * p.a[lo + 1, lo] - alpha * p.b[lo + 1, lo]
     if v1 == 0 and v2 == 0:
         # column lo of beta A - alpha B vanishes: the pole already equals rho
-        core = CoreTransformation(1.0, 0.0, lo)
+        c, s = 1.0 + 0.0j, 0.0j
     else:
-        core, _ = core_annihilating((v1, v2), index=lo)
+        c, s, _ = _annihilate(complex(v1), complex(v2))
+    core = CoreTransformation.trusted(c, s, lo)
     if not core.is_identity:
-        apply_core(p.ab, core, side="left", conjugate=True)
-        if accumulate is not None:
-            _accumulate_q(accumulate, pending, core.c, core.s, lo)
+        apply_core_matrix(p.ab, core_matrix(c.conjugate(), -s), lo, "left")
+        _hold_q(p, pending, c, s, lo)
     deflation = None
     if pair_is_negligible(p, lo, eps, [None, None]):
         p.a[lo + 1, lo] = 0.0
@@ -175,7 +174,7 @@ def move_type1_top(p, rho, accumulate=None, eps: float | None = None, pending=No
     return MoveRecord("type1_top", lo, core, None, rho, old, deflation)
 
 
-def move_type1_bottom(p, tau, accumulate=None, eps: float | None = None, pending=None) -> MoveRecord:
+def move_type1_bottom(p, tau, eps: float | None = None, pending=None) -> MoveRecord:
     """Replace the last pole of the active window by ``tau``.
 
     The row vector e_k^T (beta A - alpha B) has nonzero entries only in its
@@ -192,13 +191,12 @@ def move_type1_bottom(p, tau, accumulate=None, eps: float | None = None, pending
     w1 = beta * p.a[k, k - 1] - alpha * p.b[k, k - 1]
     w2 = beta * p.a[k, k] - alpha * p.b[k, k]
     if w1 == 0 and w2 == 0:
-        core = CoreTransformation(1.0, 0.0, k - 1)
+        c, s = 1.0 + 0.0j, 0.0j
     else:
-        core, _ = core_row_annihilating((w1, w2), index=k - 1)
+        c, s, _ = _row_annihilate(complex(w1), complex(w2))
+    core = CoreTransformation.trusted(c, s, k - 1)
     if not core.is_identity:
-        apply_core(p.ab, core, side="right")
-        if accumulate is not None:
-            _accumulate_z(accumulate, pending, core.c, core.s, k - 1)
+        _apply_right(p, pending, c, s, k - 1)
     deflation = None
     if pair_is_negligible(p, k - 1, eps, [None, None]):
         p.a[k, k - 1] = 0.0
@@ -209,7 +207,7 @@ def move_type1_bottom(p, tau, accumulate=None, eps: float | None = None, pending
     return MoveRecord("type1_bottom", k - 1, None, core, tau, old, deflation)
 
 
-def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, accumulate=None, pending=None) -> MoveRecord:
+def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, pending=None) -> MoveRecord:
     """Exchange the adjacent poles at subdiagonal positions j-1 and j.
 
     The 2x2 block of the pole pencil at those positions (rows j, j+1 crossed
@@ -243,12 +241,10 @@ def move_type2(p, j: int, method: SwapMethod = SwapMethod.NEW, accumulate=None, 
     # the kernel computes on numpy scalars; the arrays build faster from
     # Python complex, and the conversion is exact
     zc, zs, qc, qs = map(complex, cores)
-    zr = _accumulate_z(accumulate, pending, zc, zs, j - 1)
-    apply_core_matrix(p.ab, zr, j - 1, "right")
+    _apply_right(p, pending, zc, zs, j - 1)
     # the adjoint of the core (c, s) is the core (conj(c), -s)
     apply_core_matrix(p.ab, core_matrix(qc.conjugate(), -qs), j, "left")
-    if accumulate is not None:
-        _accumulate_q(accumulate, pending, qc, qs, j)
+    _hold_q(p, pending, qc, qs, j)
     zeroed_a = abs(a[j + 1, j - 1])
     zeroed_b = abs(b[j + 1, j - 1])
     a[j + 1, j - 1] = 0.0
@@ -303,41 +299,44 @@ def _chase(lo: int, hi: int, down: list, up: list, new_poles: list | None):
         yield from _installation(lo, hi, [], new_poles)
 
 
-def _run(p, steps, method, accumulate, eps):
+def _run(p, steps, method, eps):
     # the one owner of the move list, the held Q core and the stop rule
     moves: list[MoveRecord] = []
     pending: list = []
+    moved = False
     try:
         for kind, arg in steps:
             if kind == "type2":
-                rec = move_type2(p, arg, method, accumulate, pending)
+                rec = move_type2(p, arg, method, pending)
             elif kind == "type1_top":
-                rec = move_type1_top(p, arg, accumulate, eps, pending)
+                rec = move_type1_top(p, arg, eps, pending)
             else:
-                rec = move_type1_bottom(p, arg, accumulate, eps, pending)
+                rec = move_type1_bottom(p, arg, eps, pending)
             moves.append(rec)
+            moved = moved or any(c is not None and not c.is_identity for c in (rec.q, rec.z))
             if rec.deflation is not None:
-                return moves, rec.deflation
+                return moves, rec.deflation, moved
     finally:
-        flush_pending(accumulate, pending)
-    return moves, None
+        flush_pending(p, pending)
+    return moves, None, moved
 
 
-def install_chains(p, down, up, method=SwapMethod.NEW, accumulate=None, eps: float | None = None):
+def install_chains(p, down, up, method=SwapMethod.NEW, eps: float | None = None):
     """Install a downward chain at the top of the active window and an
     upward chain at its bottom.
 
     ``down[t]`` is installed by a type I top move and chased by type II
     moves to position lo+t, last element first; ``up[t]`` is installed by a
     type I bottom move and ends at position hi-1-len(up)+t.  ``eps`` is the
-    type I moves' deflation threshold.  Returns ``(moves, deflation)``: the
-    move records in order, and the event of the first type I move that
-    deflated (which ends the installation) or None.
+    type I moves' deflation threshold.  Returns ``(moves, deflation,
+    moved)``: the move records in order, the event of the first type I move
+    that deflated (which ends the installation) or None, and whether any
+    move applied a core other than the identity.
     """
-    return _run(p, _installation(p.lo, p.hi, down, up), method, accumulate, eps)
+    return _run(p, _installation(p.lo, p.hi, down, up), method, eps)
 
 
-def chase_chains(p, down, up, new_poles=None, method=SwapMethod.NEW, accumulate=None):
+def chase_chains(p, down, up, new_poles=None, method=SwapMethod.NEW):
     """Install two chains as :func:`install_chains` does, then carry the
     downward chain to the bottom of the window and the upward chain to its
     top, through each other.
@@ -345,7 +344,8 @@ def chase_chains(p, down, up, new_poles=None, method=SwapMethod.NEW, accumulate=
     With ``new_poles`` (one per downward pole) the downward chain is then
     removed at the bottom: the new poles are installed there as an upward
     chain, each replacing the lowest downward pole left.  Without, the
-    chains stay parked at the far ends.  Returns ``(moves, deflation)`` as
-    :func:`install_chains` does; the first deflation ends the chase.
+    chains stay parked at the far ends.  Returns ``(moves, deflation,
+    moved)`` as :func:`install_chains` does; the first deflation ends the
+    chase.
     """
-    return _run(p, _chase(p.lo, p.hi, down, up, new_poles), method, accumulate, None)
+    return _run(p, _chase(p.lo, p.hi, down, up, new_poles), method, None)

@@ -81,20 +81,6 @@ def make_projective(alpha: complex, beta: complex) -> ProjectiveValue:
 INFINITY = make_projective(1.0, 0.0)
 
 
-def projective_modulus_at_least(p: ProjectiveValue, q: ProjectiveValue) -> bool:
-    """True iff |p| >= |q| in the projective sense (inf beats any finite value).
-
-    Cross-multiplied form |p.alpha|*|q.beta| >= |q.alpha|*|p.beta|; both sides
-    are <= 1 for normalized pairs, so the comparison cannot overflow.
-    """
-    return abs(p.alpha) * abs(q.beta) >= abs(q.alpha) * abs(p.beta)
-
-
-def projective_cross(p: ProjectiveValue, q: ProjectiveValue) -> complex:
-    """alpha_p*beta_q - alpha_q*beta_p on the normalized pairs (0 iff p == q)."""
-    return p.alpha * q.beta - q.alpha * p.beta
-
-
 def chordal_distance(p: ProjectiveValue, q: ProjectiveValue) -> float:
     """Metric on the projective line; handles infinite values uniformly."""
     num = abs(p.alpha * q.beta - q.alpha * p.beta)
@@ -164,24 +150,21 @@ def core_matrix(c: complex, s: complex) -> np.ndarray:
 
     numpy builds it about three times faster from Python ``complex`` than
     from numpy scalars, so callers holding numpy scalars convert them first;
-    the conversion is exact.
+    the conversion is exact.  A flat list reshaped builds faster than a
+    nested literal.
     """
-    return np.array([[c, -s.conjugate()], [s, c.conjugate()]], dtype=complex)
+    return np.array([c, -s.conjugate(), s, c.conjugate()], dtype=complex).reshape(2, 2)
 
 
-def core_pair_matrix(qc: complex, qs: complex, zc: complex, zs: complex) -> np.ndarray:
-    """The arrays of a Q core and a Z core stacked as one (2, 2, 2) array.
+def core_stack_matrix(zc: complex, zs: complex, qc: complex, qs: complex) -> np.ndarray:
+    """The (4, 2, 2) array ``[z, z, z, q]`` of the right core (zc, zs) and
+    the Q core (qc, qs).
 
-    Applied from the right to a (2, n, n) stack of Q and Z, it updates both
-    with one matmul, with the bits of one matmul per matrix.
+    Applied from the right to a pencil's (A, B, Z, Q) buffer, it updates
+    A, B and Z with the right core and Q with the Q core in one matmul.
     """
-    return np.array(
-        [
-            [[qc, -qs.conjugate()], [qs, qc.conjugate()]],
-            [[zc, -zs.conjugate()], [zs, zc.conjugate()]],
-        ],
-        dtype=complex,
-    )
+    z = [zc, -zs.conjugate(), zs, zc.conjugate()]
+    return np.array(z * 3 + [qc, -qs.conjugate(), qs, qc.conjugate()], dtype=complex).reshape(4, 2, 2)
 
 
 def identity_core(index: int = 0) -> CoreTransformation:
@@ -273,8 +256,9 @@ def apply_core_matrix(m: np.ndarray, r: np.ndarray, j: int, side: str) -> np.nda
     rows (j, j+1) of the last two axes become ``r @ rows`` (``side='left'``),
     or columns (j, j+1) become ``columns @ r`` (``side='right'``).  A caller
     applying one core to several matrices builds its array once.  A stacked
-    ``r`` of shape (2, 2, 2) applies a different core to each half of a
-    (2, n, n) stack (see :func:`core_pair_matrix`)."""
+    ``r`` of shape (k, 2, 2) applies a different core to each matrix of a
+    (k, n, n) stack.  numpy multiplies a stack one matrix at a time, so
+    each matrix gets the bits of its own 2-D matmul."""
     if side == "left":
         if not 0 <= j < m.shape[-2] - 1:
             raise IndexError(f"row index {j} out of range")
@@ -329,11 +313,3 @@ def two_norm_2x2(m00: complex, m01: complex, m10: complex, m11: complex) -> floa
         disc = 0.0
     return m * math.sqrt(0.5 * (f + math.sqrt(disc)))
 
-
-def matrix_norms(m: np.ndarray) -> tuple[float, float | None]:
-    """(Frobenius norm, exact 2-norm for 2x2 inputs else None)."""
-    arr = np.asarray(m, dtype=complex)
-    fro = float(np.linalg.norm(arr))
-    if arr.shape == (2, 2):
-        return fro, two_norm_2x2(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
-    return fro, None

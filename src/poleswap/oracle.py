@@ -179,14 +179,6 @@ _PERMS_3 = (
 )
 
 
-def eig_2x2_triangular(p) -> tuple[ProjectiveValue, ProjectiveValue]:
-    """Diagonal ratios of a 2x2 upper-triangular pencil, in order."""
-    return (
-        make_projective(p.alpha1, p.beta1),
-        make_projective(p.alpha2, p.beta2),
-    )
-
-
 def eig_2x2(a: np.ndarray, b: np.ndarray) -> tuple[ProjectiveValue, ProjectiveValue]:
     """Both eigenvalues of a general regular 2x2 pencil, projectively.
 

@@ -21,11 +21,11 @@ import numpy as np
 from .numerics import (
     UNIT_ROUNDOFF,
     ProjectiveValue,
-    apply_core,
+    _annihilate,
+    _row_annihilate,
     apply_core_matrix,
-    core_annihilating,
-    core_pair_matrix,
-    core_row_annihilating,
+    core_matrix,
+    core_stack_matrix,
     ensure_complex_matrix,
     make_projective,
 )
@@ -66,14 +66,18 @@ class HessenbergPencil:
 
     ``lo:hi`` (half-open, 0-based) delimits the currently undeflated block;
     operations act inside the window but row/column updates always span the
-    full matrices, so an accumulated Q*(A, B)Z equivalence stays exact.
+    full matrices, so the accumulated Q*(A, B)Z equivalence stays exact.
 
-    The pencil owns one (2, n, n) buffer ``ab``; ``a`` and ``b`` are views of
-    ``ab[0]`` and ``ab[1]``, so a core applied to ``ab`` updates both
-    matrices with one numpy call.  The constructor copies its inputs.
+    The pencil owns one (4, n, n) buffer ``m`` holding A, B, Z and Q in
+    that order; ``a``, ``b``, ``z`` and ``q`` are views of it and ``ab`` is
+    ``m[:2]``.  Z and Q start at the identity, and every core a move applies
+    is accumulated into them, so Q (A, B) Z* is the pair the pencil was
+    built from.  A left core updates ``ab``; a right core updates A, B and Z
+    with one matmul on ``m[:3]``, or on all of ``m`` when a Q core acts on
+    the same columns.  The constructor copies its inputs.
     """
 
-    __slots__ = ("ab", "a", "b", "lo", "hi")
+    __slots__ = ("m", "ab", "a", "b", "z", "q", "lo", "hi")
 
     def __init__(self, a, b, lo: int = 0, hi: int | None = None):
         a = ensure_complex_matrix(a, square=True)
@@ -83,14 +87,18 @@ class HessenbergPencil:
         for m, name in ((a, "A"), (b, "B")):
             if not is_hessenberg(m):
                 raise ValueError(f"{name} is not upper Hessenberg (exact zeros required)")
-        n = a.shape[0]
+        eye = np.eye(a.shape[0], dtype=complex)
+        self._own(np.stack((a, b, eye, eye)), lo, hi)
+
+    def _own(self, m: np.ndarray, lo: int, hi: int | None) -> None:
+        n = m.shape[1]
         self.lo = lo
         self.hi = n if hi is None else hi
         if not 0 <= self.lo <= self.hi <= n:
             raise ValueError(f"bad active range ({self.lo}, {self.hi}) for n={n}")
-        self.ab = np.stack((a, b))
-        self.a = self.ab[0]
-        self.b = self.ab[1]
+        self.m = m
+        self.ab = m[:2]
+        self.a, self.b, self.z, self.q = m
 
     @property
     def n(self) -> int:
@@ -101,6 +109,7 @@ class HessenbergPencil:
         return self.hi - self.lo
 
     def copy(self) -> "HessenbergPencil":
+        """A and B and the window in a new buffer, with Z and Q reset to I."""
         return HessenbergPencil(self.a, self.b, self.lo, self.hi)
 
     def pole(self, j: int) -> ProjectiveValue:
@@ -161,16 +170,16 @@ def check_proper(p: HessenbergPencil, tol: float | None = None) -> PropernessRep
     return PropernessReport(is_proper=True)
 
 
-def reduce_to_hessenberg_triangular(a, b):
+def reduce_to_hessenberg_triangular(a, b) -> HessenbergPencil:
     """Direct O(n^3) reduction of (A, B) to Hessenberg-triangular form.
 
-    Returns ``(pencil, qz)``: ``qz`` is a (2, n, n) stack holding Q in
-    ``qz[0]`` and Z in ``qz[1]``, with Q* A Z upper Hessenberg and Q* B Z
-    upper triangular; all poles of the result are infinite.  B is
-    triangularized by a QR factorization, then A is brought to Hessenberg
-    form column by column with left rotations whose B-fill is immediately
-    chased away by right rotations.  Each such pair of rotations acts on
-    the same two columns of Q and Z, which are updated together.
+    Returns the pencil (Q* A Z, Q* B Z), upper Hessenberg and upper
+    triangular, whose ``q`` and ``z`` hold the reduction's Q and Z; all its
+    poles are infinite.  B is triangularized by a QR factorization, then A
+    is brought to Hessenberg form column by column with left rotations g
+    whose B-fill is immediately chased away by right rotations h.  Both
+    rotations of a step act on the same two columns of Q and Z, so one
+    matmul with ``[h, h, h, g]`` updates A, B, Z and Q.
     """
     a = ensure_complex_matrix(a, square=True)
     b = ensure_complex_matrix(b, square=True)
@@ -178,31 +187,33 @@ def reduce_to_hessenberg_triangular(a, b):
         raise ValueError("A and B must have the same dimension")
     n = a.shape[0]
     if n == 0:
-        return HessenbergPencil(a, b), np.zeros((2, 0, 0), dtype=complex)
+        return HessenbergPencil(a, b)
 
     q0, r = np.linalg.qr(b)
-    ab = np.stack((q0.conj().T @ a, r))
-    a = ab[0]
-    b = ab[1]
-    qz = np.stack((q0, np.eye(n, dtype=complex)))
-
+    p = HessenbergPencil.__new__(HessenbergPencil)
+    p._own(np.stack((q0.conj().T @ a, r, np.eye(n, dtype=complex), q0)), 0, n)
+    a, b = p.a, p.b
     for j in range(n - 2):
         for i in range(n - 1, j + 1, -1):
             if a[i, j] == 0.0:
                 continue
             # zero A[i, j] from the left, then repair B's (i, i-1) fill
-            g, _ = core_annihilating((a[i - 1, j], a[i, j]), index=i - 1)
-            apply_core(ab, g, side="left", conjugate=True)
+            gc, gs, _ = _annihilate(complex(a[i - 1, j]), complex(a[i, j]))
+            # the adjoint of the core (c, s) is the core (conj(c), -s)
+            apply_core_matrix(p.ab, core_matrix(gc.conjugate(), -gs), i - 1, "left")
             a[i, j] = 0.0
             if b[i, i - 1] != 0.0:
-                h, _ = core_row_annihilating((b[i, i - 1], b[i, i]), index=i - 1)
-                apply_core(ab, h, side="right")
+                hc, hs, _ = _row_annihilate(complex(b[i, i - 1]), complex(b[i, i]))
+                apply_core_matrix(p.m, core_stack_matrix(hc, hs, gc, gs), i - 1, "right")
                 b[i, i - 1] = 0.0
-                apply_core_matrix(qz, core_pair_matrix(g.c, g.s, h.c, h.s), i - 1, "right")
             else:
-                apply_core_matrix(qz[0], g.matrix(), i - 1, "right")
+                apply_core_matrix(p.q, core_matrix(gc, gs), i - 1, "right")
     b[np.tril_indices(n, k=-1)] = 0.0
-    return HessenbergPencil(a, b), qz
+    # near the top of the range the reduction can overflow; refuse its
+    # result as the constructor refuses non-finite input
+    if not np.isfinite(p.ab.view(float)).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return p
 
 
 def pair_is_negligible(p: HessenbergPencil, j: int, eps: float, norms: list) -> bool:
@@ -263,7 +274,7 @@ def detect_deflations(p: HessenbergPencil, eps: float | None = None) -> list[Def
     return events
 
 
-def set_poles(p, targets, method=None, accumulate=None, record=None):
+def set_poles(p, targets, method=None, record=None):
     """Install prescribed poles on a proper pencil by moves (two-sided order).
 
     Targets (length active_n - 1) are installed half from the top in reverse
@@ -273,7 +284,7 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
     ceil(m^2/4)) plus m type I moves.  This is the chain installer of
     :mod:`poleswap.moves` on its own, with ``targets[:k]`` as the downward
     chain and ``targets[k:]`` as the upward one.  Mutates the pencil in
-    place; ``accumulate`` is the (2, n, n) Q/Z stack.
+    place, its Q and Z included.
 
     The type I moves report a deflation only on an exactly zero subdiagonal
     pair (``eps=0``): a merely negligible pair is left for the solver's own
@@ -295,7 +306,7 @@ def set_poles(p, targets, method=None, accumulate=None, record=None):
     if m <= 0:
         return None
     k = (m + 1) // 2
-    moves, deflation = install_chains(p, targets[:k], targets[k:], method, accumulate, eps=0.0)
+    moves, deflation, _ = install_chains(p, targets[:k], targets[k:], method, eps=0.0)
     if record is not None:
         record.extend(moves)
     return deflation

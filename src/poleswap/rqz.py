@@ -46,7 +46,8 @@ class SweepRecord:
     poles the sweep was asked to install with its closing type I moves,
     also when a deflation ended it before them (empty for bidirectional
     sweeps and parked multishift sweeps, which leave their chains in the
-    pencil).  A deflation event truncates the log.
+    pencil).  A deflation event truncates the log.  ``moved`` is False
+    when no move applied a core other than the identity.
     """
 
     moves: list[MoveRecord]
@@ -54,6 +55,7 @@ class SweepRecord:
     pole_out: list[ProjectiveValue]
     direction: str  # 'down' | 'up' | 'bidirectional'
     deflation: object | None = None
+    moved: bool = True
 
 
 @dataclass
@@ -117,17 +119,17 @@ def choose_shift(p: HessenbergPencil, strategy: str = "wilkinson", position: str
     return e2
 
 
-def basic_sweep(p, rho, new_pole=INF, method=SwapMethod.NEW, accumulate=None) -> SweepRecord:
+def basic_sweep(p, rho, new_pole=INF, method=SwapMethod.NEW) -> SweepRecord:
     """One single-shift iteration: install rho on top, chase it to the bottom,
     replace it by ``new_pole``.  A deflation encountered on the way truncates
-    the sweep (a success: the caller restarts on the subblocks).
-    ``accumulate`` is the (2, n, n) Q/Z stack; each Q core is applied
-    together with the next move's Z core (see :mod:`poleswap.moves`)."""
-    moves, deflation = chase_chains(p, [rho], [], [new_pole], method, accumulate)
-    return SweepRecord(moves, [rho], [new_pole], "down", deflation)
+    the sweep (a success: the caller restarts on the subblocks).  The
+    pencil's Q and Z accumulate the sweep's cores; each Q core is applied
+    together with the next move's right core (see :mod:`poleswap.moves`)."""
+    moves, deflation, moved = chase_chains(p, [rho], [], [new_pole], method)
+    return SweepRecord(moves, [rho], [new_pole], "down", deflation, moved)
 
 
-def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW, accumulate=None) -> SweepRecord:
+def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW) -> SweepRecord:
     """Chase a chain of m shifts together from the top to the bottom.
 
     The shifts replace the top m poles (installed in reverse order), the
@@ -147,11 +149,11 @@ def multishift_sweep(p, shifts, new_poles, method=SwapMethod.NEW, accumulate=Non
         new_poles = list(new_poles)
         if len(new_poles) != m:
             raise ValueError("need exactly one replacement pole per shift")
-    moves, deflation = chase_chains(p, shifts, [], new_poles, method, accumulate)
-    return SweepRecord(moves, shifts, new_poles or [], "down", deflation)
+    moves, deflation, moved = chase_chains(p, shifts, [], new_poles, method)
+    return SweepRecord(moves, shifts, new_poles or [], "down", deflation, moved)
 
 
-def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, accumulate=None, margin: float = 1e-6) -> SweepRecord:
+def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, margin: float = 1e-6) -> SweepRecord:
     """Pass a downward chain and an upward chain through each other.
 
     After the sweep the interior poles are back where they started and the
@@ -177,8 +179,8 @@ def bidirectional_sweep(p, down, up, method=SwapMethod.NEW, accumulate=None, mar
         direction = "up"
     else:
         direction = "down"
-    moves, deflation = chase_chains(p, down, up, None, method, accumulate)
-    return SweepRecord(moves, down + up, [], direction, deflation)
+    moves, deflation, moved = chase_chains(p, down, up, None, method)
+    return SweepRecord(moves, down + up, [], direction, deflation, moved)
 
 
 def _scaled_residual(m: np.ndarray, q: np.ndarray, t: np.ndarray, z: np.ndarray) -> float:
@@ -222,15 +224,6 @@ def _exceptional_shift(p: HessenbergPencil, rng) -> ProjectiveValue:
     )
 
 
-def _sweep_was_noop(rec: SweepRecord) -> bool:
-    for m in rec.moves:
-        if m.q is not None and not m.q.is_identity:
-            return False
-        if m.z is not None and not m.z.is_identity:
-            return False
-    return True
-
-
 def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
     """Compute all eigenvalues and the generalized Schur form of (A, B).
 
@@ -255,12 +248,11 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
         e = np.eye(0, dtype=complex)
         return SolveResult([], e.copy(), e.copy(), e.copy(), e.copy(), 0.0, 0.0, 0)
 
-    # Q and Z share one (2, n, n) buffer, as A and B do in the pencil
+    # the pencil accumulates Q and Z in its own buffer, beside A and B
     if is_hessenberg(a) and is_hessenberg(b):
         pencil = HessenbergPencil(a, b)
-        qz = np.stack((np.eye(n, dtype=complex),) * 2)
     else:
-        pencil, qz = reduce_to_hessenberg_triangular(a, b)
+        pencil = reduce_to_hessenberg_triangular(a, b)
     if options.prescribed_poles is not None:
         pencil.lo, pencil.hi = 0, n
         if any(pencil.subdiagonal_pair_is_zero(j) for j in range(n - 1)):
@@ -271,7 +263,7 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
         # set_poles returns an event only when a move split the pencil
         # exactly, leaving the rest of the poles uninstalled; the deflation
         # loop below finds that zero pair itself, so the event is not needed
-        set_poles(pencil, options.prescribed_poles, method=options.method, accumulate=qz)
+        set_poles(pencil, options.prescribed_poles, method=options.method)
 
     rng = np.random.default_rng(options.seed)
     sweep_log: list[SweepRecord] = []
@@ -306,12 +298,12 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
             new_pole = make_projective(pencil.a[lo, lo], pencil.b[lo, lo])
         else:
             new_pole = INF
-        rec = basic_sweep(pencil, rho, new_pole, options.method, accumulate=qz)
+        rec = basic_sweep(pencil, rho, new_pole, options.method)
         if options.record_sweeps:
             sweep_log.append(rec)
         total += 1
         stall += 1
-        if _sweep_was_noop(rec) and stall % options.exceptional_every != 0:
+        if not rec.moved and stall % options.exceptional_every != 0:
             # a shift equal to every pole moves nothing (e.g. an infinite
             # Rayleigh value on an all-infinite-pole block); escalate straight
             # to an exceptional shift instead of burning the cap
@@ -325,13 +317,13 @@ def solve(a, b, options: SolveOptions | None = None) -> SolveResult:
     eigenvalues = [
         make_projective(pencil.a[i, i], pencil.b[i, i]) for i in range(n)
     ]
-    r_a, r_b = schur_residuals(a, b, qz[0], qz[1], pencil.a, pencil.b)
+    r_a, r_b = schur_residuals(a, b, pencil.q, pencil.z, pencil.a, pencil.b)
     return SolveResult(
         eigenvalues=eigenvalues,
         schur_a=pencil.a,
         schur_b=pencil.b,
-        q=qz[0],
-        z=qz[1],
+        q=pencil.q,
+        z=pencil.z,
         r_a=r_a,
         r_b=r_b,
         iteration_count=total,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,25 @@ def _sylvester_directions(a1, a, a2, b1, b, b2):
     return r, l
 
 
+# below this modulus the squares of two moduli and their sum stay finite
+_SQUARES_FINITE_BELOW = 2.0 ** 510
+
+
+def _second_norm_at_least_first(x1: float, x2: float, y1: float, y2: float) -> bool:
+    """Whether ||(y1, y2)|| >= ||(x1, x2)|| for moduli of any size.
+
+    Moduli below 2**510 are squared as they are.  Larger ones are first
+    divided by one common power of two, which makes the largest lie in
+    [1/2, 1), so no square overflows; the division is exact wherever the
+    quotient stays normal, so the comparison keeps its meaning.
+    """
+    m = max(x1, x2, y1, y2)
+    if m >= _SQUARES_FINITE_BELOW:
+        e = -math.frexp(m)[1]
+        x1, x2, y1, y2 = (math.ldexp(v, e) for v in (x1, x2, y1, y2))
+    return y1 ** 2 + y2 ** 2 >= x1 ** 2 + x2 ** 2
+
+
 def _skip_report(p: TriangularPencil2) -> SwapReport:
     result = TriangularPencil2(p.alpha1, p.a, p.alpha2, p.beta1, p.b, p.beta2)
     return SwapReport(
@@ -182,9 +202,7 @@ def swap_cores_entries(a1, a, a2, b1, b, b2, method: SwapMethod = SwapMethod.NEW
         # Case 1 iff |sigma1| >= |sigma2|, ties included
         use_b = abs(a1) * abs(b2) >= abs(a2) * abs(b1)
     else:
-        na = abs(ua1) ** 2 + abs(ua2) ** 2
-        nb = abs(ub1) ** 2 + abs(ub2) ** 2
-        use_b = nb >= na
+        use_b = _second_norm_at_least_first(abs(ua1), abs(ua2), abs(ub1), abs(ub2))
     u1, u2 = (ub1, ub2) if use_b else (ua1, ua2)
     if u1 == 0 and u2 == 0:
         return zc, zs, 1.0 + 0.0j, 0.0j

@@ -440,26 +440,17 @@ def run_verification(seed: int = 0, n: int = 8, pencils: int = 100) -> Verificat
 
         # whole sweeps
         for name, runner in (
-            ("thm_basic_sweep", lambda w, acc: basic_sweep(w, rho, tau, accumulate=acc)),
-            (
-                "thm_multishift_sweep",
-                lambda w, acc: multishift_sweep(w, [rho, rho2], [tau, tau2], accumulate=acc),
-            ),
-            (
-                "thm_bidirectional_sweep",
-                lambda w, acc: bidirectional_sweep(w, [rho], [tau], accumulate=acc),
-            ),
-            (
-                "thm_bidirectional_sweep",
-                lambda w, acc: bidirectional_sweep(w, [rho, rho2], [tau, tau2], accumulate=acc),
-            ),
+            ("thm_basic_sweep", lambda w: basic_sweep(w, rho, tau)),
+            ("thm_multishift_sweep", lambda w: multishift_sweep(w, [rho, rho2], [tau, tau2])),
+            ("thm_bidirectional_sweep", lambda w: bidirectional_sweep(w, [rho], [tau])),
+            ("thm_bidirectional_sweep", lambda w: bidirectional_sweep(w, [rho, rho2], [tau, tau2])),
         ):
+            # a copy starts with Q = Z = I, so they hold the sweep's alone
             work = p.copy()
-            qz = np.stack((np.eye(n, dtype=complex),) * 2)
-            sweep = runner(work, qz)
+            sweep = runner(work)
             if sweep.deflation is not None:
                 continue
-            angle = verify_sweep_theorem(a0, b0, sweep, qz[0], qz[1])
+            angle = verify_sweep_theorem(a0, b0, sweep, work.q, work.z)
             angles[name] = max(angles[name], angle)
 
         # flag = rational Krylov space of the quotient operators

@@ -13,7 +13,6 @@ from poleswap.experiments import (
     emit_results,
     histogram_payload,
     parse_histogram_csv,
-    random_stress_entry,
     run_accuracy_experiment,
     run_swap_benchmark,
     summary_payload,
@@ -25,19 +24,6 @@ class TestStressDistribution:
     def test_collapsed_range_rejected(self):
         with pytest.raises(ValueError):
             StressDistribution(min_exponent=1.0, max_exponent=1.0)
-
-    def test_collapsed_to_unit_modulus(self):
-        dist = StressDistribution(min_exponent=-1e-12, max_exponent=1e-12, seed=1)
-        rng = _block_rng(dist.seed, 0)
-        for _ in range(100):
-            z = random_stress_entry(dist, rng)
-            assert abs(abs(z) - 1.0) <= 1e-11
-
-    def test_fixed_seed_reproduces_sequence(self):
-        dist = StressDistribution(seed=42)
-        a = [random_stress_entry(dist, _block_rng(42, 0)) for _ in range(1)]
-        b = [random_stress_entry(dist, _block_rng(42, 0)) for _ in range(1)]
-        assert a == b
 
     def test_log_moduli_uniform_ks(self):
         # Kolmogorov-Smirnov at the 1% level over 1e5 samples

@@ -14,11 +14,9 @@ from poleswap.oracle import (
     _finite_roots_dd,
     _horner,
     eig_2x2,
-    eig_2x2_triangular,
     eig_3x3_extended,
     max_relative_error,
 )
-from poleswap.swapkernel import TriangularPencil2
 
 
 def balanced_floats():
@@ -68,22 +66,6 @@ class TestDoubleDouble:
 
 
 class TestEig2x2:
-    def test_triangular_diag_ratios(self):
-        p = TriangularPencil2(2, 5, 3, 1, 7, 1)
-        e1, e2 = eig_2x2_triangular(p)
-        assert e1.to_complex() == 2.0
-        assert e2.to_complex() == 3.0
-
-    def test_triangular_infinite(self):
-        p = TriangularPencil2(2, 0, 3, 1, 0, 0)
-        _, e2 = eig_2x2_triangular(p)
-        assert e2.is_infinite
-
-    def test_offdiagonals_do_not_matter(self):
-        a = eig_2x2_triangular(TriangularPencil2(2, 0, 3, 1, 0, 1))
-        b = eig_2x2_triangular(TriangularPencil2(2, 99, 3, 1, -7, 1))
-        assert a == b
-
     def test_general_pencil(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         b = np.eye(2, dtype=complex)

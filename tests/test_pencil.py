@@ -57,13 +57,21 @@ class TestStackedBuffer:
         assert not np.shares_memory(p.ab, a) and not np.shares_memory(p.ab, b)
 
     def test_a_and_b_are_views_of_one_buffer(self):
+        # one (A, B, Z, Q) buffer: a, b, z, q and ab are all views of it
         rng = np.random.default_rng(31)
         p = random_proper_hessenberg(rng, 5)
+        assert p.m.shape == (4, 5, 5)
+        assert all(v.base is p.m for v in (p.ab, p.a, p.b, p.z, p.q))
         assert p.ab.shape == (2, 5, 5)
-        assert p.a.base is p.ab and p.b.base is p.ab
-        p.ab[0, 1, 1] = 3.0
-        p.ab[1, 2, 2] = 4.0
+        np.testing.assert_array_equal(p.z, np.eye(5))
+        np.testing.assert_array_equal(p.q, np.eye(5))
+        p.m[0, 1, 1] = 3.0
+        p.m[1, 2, 2] = 4.0
+        p.m[2, 0, 1] = 5.0
+        p.m[3, 1, 0] = 6.0
         assert p.a[1, 1] == 3.0 and p.b[2, 2] == 4.0
+        assert p.ab[0, 1, 1] == 3.0 and p.ab[1, 2, 2] == 4.0
+        assert p.z[0, 1] == 5.0 and p.q[1, 0] == 6.0
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(32)
@@ -76,6 +84,15 @@ class TestStackedBuffer:
         c.a[0, 0] = 99.0
         c.b[0, 0] = 99.0
         assert p.a[0, 0] != 99.0 and p.b[0, 0] != 99.0
+
+    def test_copy_resets_q_and_z(self):
+        rng = np.random.default_rng(33)
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+        assert not np.array_equal(p.q, np.eye(5))
+        c = p.copy()
+        np.testing.assert_array_equal(c.ab, p.ab)
+        np.testing.assert_array_equal(c.q, np.eye(5))
+        np.testing.assert_array_equal(c.z, np.eye(5))
 
 
 class TestPoles:
@@ -107,7 +124,7 @@ class TestPoles:
 class TestCheckProper:
     def test_generic_ht_pair_is_proper(self):
         rng = np.random.default_rng(0)
-        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
         assert check_proper(p).is_proper
 
     def test_identical_matrices_proportional_columns(self):
@@ -134,7 +151,8 @@ class TestReduction:
     def test_already_reduced_pair(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         b = np.array([[2, 1], [0, 1]], dtype=complex)
-        p, (q, z) = reduce_to_hessenberg_triangular(a, b)
+        p = reduce_to_hessenberg_triangular(a, b)
+        q, z = p.q, p.z
         assert is_hessenberg(p.a)
         assert not np.any(np.tril(p.b, -1))
         for v in p.poles():
@@ -142,13 +160,14 @@ class TestReduction:
         np.testing.assert_allclose(q @ p.a @ z.conj().T, a, atol=20 * U * np.linalg.norm(a))
 
     def test_n_equals_one(self):
-        p, (q, z) = reduce_to_hessenberg_triangular(np.array([[2.0]]), np.array([[3.0]]))
+        p = reduce_to_hessenberg_triangular(np.array([[2.0]]), np.array([[3.0]]))
         assert p.a[0, 0] != 0
 
     def test_random_6x6_pattern_and_residual(self):
         rng = np.random.default_rng(3)
         a, b = random_pair(rng, 6)
-        p, (q, z) = reduce_to_hessenberg_triangular(a, b)
+        p = reduce_to_hessenberg_triangular(a, b)
+        q, z = p.q, p.z
         n = 6
         assert is_hessenberg(p.a)
         assert not np.any(np.tril(p.b, -1))
@@ -161,11 +180,21 @@ class TestReduction:
         assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 50 * n * U
         assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= 50 * n * U
 
+    def test_overflowing_reduction_is_refused(self):
+        # finite input whose first column's norm exceeds the largest float
+        rng = np.random.default_rng(34)
+        a = rng.normal(size=(5, 5)) + 0j
+        a[:, 0] = 1.7e308
+        b = np.ones((5, 5)) + np.eye(5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                reduce_to_hessenberg_triangular(a, b)
+
     def test_eigenvalues_preserved(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             a, b = random_pair(rng, 5)
-            p, _ = reduce_to_hessenberg_triangular(a, b)
+            p = reduce_to_hessenberg_triangular(a, b)
             before = np.sort_complex(np.linalg.eigvals(np.linalg.solve(b, a)))
             after = np.sort_complex(np.linalg.eigvals(np.linalg.solve(p.b, p.a)))
             for x, y in zip(before, after):
@@ -176,7 +205,7 @@ class TestReduction:
 class TestSetPoles:
     def test_all_infinite_on_ht_pair_is_noop(self):
         rng = np.random.default_rng(5)
-        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
         a0, b0 = p.a.copy(), p.b.copy()
         inf = make_projective(1.0, 0.0)
         assert set_poles(p, [inf] * 4) is None
@@ -187,7 +216,7 @@ class TestSetPoles:
         from poleswap.moves import move_type1_top
 
         rng = np.random.default_rng(6)
-        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
         q = p.copy()
         rho = make_projective(0.7 - 0.2j, 1.0)
         set_poles(p, [rho])
@@ -199,7 +228,7 @@ class TestSetPoles:
     def test_random_targets_installed(self):
         rng = np.random.default_rng(7)
         for trial in range(5):
-            p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
+            p = reduce_to_hessenberg_triangular(*random_pair(rng, 5))
             targets = [
                 make_projective(10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.random()), 1.0)
                 for _ in range(4)
@@ -211,7 +240,7 @@ class TestSetPoles:
     def test_move_count_bound(self):
         rng = np.random.default_rng(21)
         for n in (5, 6, 9):
-            p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, n))
+            p = reduce_to_hessenberg_triangular(*random_pair(rng, n))
             targets = [
                 make_projective(rng.normal() + 1j * rng.normal(), 1.0)
                 for _ in range(n - 1)
@@ -224,11 +253,10 @@ class TestSetPoles:
     def test_installation_preserves_equivalence(self):
         rng = np.random.default_rng(8)
         a, b = random_pair(rng, 5)
-        p, qz = reduce_to_hessenberg_triangular(a, b)
-        q, z = qz
+        p = reduce_to_hessenberg_triangular(a, b)
         targets = [make_projective(c, 1.0) for c in (2.0, -1.0j, 0.5 + 0.5j, 3.0)]
-        set_poles(p, targets, accumulate=qz)
-        res = np.linalg.norm(a - q @ p.a @ z.conj().T) / np.linalg.norm(a)
+        set_poles(p, targets)
+        res = np.linalg.norm(a - p.q @ p.a @ p.z.conj().T) / np.linalg.norm(a)
         assert res <= 1e-13
 
     def test_graded_installation_is_complete(self):
@@ -245,9 +273,9 @@ class TestSetPoles:
             make_projective(complex(m * math.cos(t), m * math.sin(t)) * 1e150, 1e-150)
             for m, t in zip(mods, phases)
         ]
-        p, qz = reduce_to_hessenberg_triangular(a, b)
+        p = reduce_to_hessenberg_triangular(a, b)
         records = []
-        assert set_poles(p, targets, accumulate=qz, record=records) is None
+        assert set_poles(p, targets, record=records) is None
         # two-sided order: k = 30 targets from the top, 29 from the bottom
         m, k = n - 1, n // 2
         kinds = [r.kind for r in records]
@@ -273,7 +301,7 @@ class TestDetectDeflations:
 
     def test_no_small_pairs(self):
         rng = np.random.default_rng(9)
-        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 4))
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 4))
         # B-subdiagonals are exactly zero but A's are O(1): no deflation
         assert detect_deflations(p) == []
 

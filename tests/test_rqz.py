@@ -63,19 +63,19 @@ class TestChooseShift:
 class TestBasicSweep:
     def test_n2_degenerates_to_two_type1_moves(self):
         rng = np.random.default_rng(0)
-        p, _ = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
+        p = reduce_to_hessenberg_triangular(*random_pair(rng, 2))
         rec = basic_sweep(p, make_projective(1.0, 1.0), INF)
         assert [m.kind for m in rec.moves] == ["type1_top", "type1_bottom"]
 
     def test_qz_equivalence_on_ht_pair(self):
         rng = np.random.default_rng(1)
         a, b = random_pair(rng, 10)
-        p, _ = reduce_to_hessenberg_triangular(a, b)
+        # the copy's Q and Z start at I, so they hold the sweep's alone
+        p = reduce_to_hessenberg_triangular(a, b).copy()
         a0, b0 = p.a.copy(), p.b.copy()
-        qz = np.stack((np.eye(10, dtype=complex),) * 2)
-        q, z = qz
+        q, z = p.q, p.z
         rho = choose_shift(p, "rayleigh")
-        basic_sweep(p, rho, INF, accumulate=qz)
+        basic_sweep(p, rho, INF)
         assert np.linalg.norm(np.tril(p.b, -1)) <= 1e-14 * np.linalg.norm(p.b)
         e1 = np.zeros(10, dtype=complex)
         e1[0] = 1.0
@@ -150,7 +150,7 @@ class TestMultishift:
         tb += np.eye(n)
         a = qm @ ta @ zm.conj().T
         b = qm @ tb @ zm.conj().T
-        p, _ = reduce_to_hessenberg_triangular(a, b)
+        p = reduce_to_hessenberg_triangular(a, b)
         isolating = []
         for _ in range(4):
             corner = slice(p.hi - 2, p.hi)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from poleswap.numerics import (
     UNIT_ROUNDOFF,
+    _annihilate,
     chordal_distance,
     make_projective,
     two_norm_2x2,
@@ -19,6 +20,7 @@ from poleswap.swapkernel import (
     flip_swap_equivalence_check,
     swap2x2,
     swap_cores,
+    swap_cores_entries,
 )
 
 U = UNIT_ROUNDOFF
@@ -202,6 +204,25 @@ class TestCoresOnlyKernel:
                 np.array(reported, dtype=complex).view(np.uint64),
             )
         assert skipped >= 24
+
+
+class TestVanDoorenColumnChoice:
+    @pytest.mark.parametrize("kind", [complex, np.complex128])
+    def test_entries_near_1e160_do_not_overflow(self, kind):
+        # the squared column moduli overflowed here: an OverflowError on
+        # Python complex, an overflow warning on numpy scalars.  A's column
+        # of A.Z is 160 orders of magnitude longer than B's, so Q comes
+        # from it.
+        entries = [kind(v) for v in (1e160 + 1j, 3e160, 2e160, 1, 0.5, 3)]
+        zc, zs, qc, qs = swap_cores_entries(*entries, SwapMethod.VAN_DOOREN)
+        a1, a, a2 = entries[:3]
+        assert (qc, qs) == _annihilate(a1 * zc + a * zs, a2 * zs)[:2]
+        rep = swap2x2(TriangularPencil2(*map(complex, entries)), SwapMethod.VAN_DOOREN)
+        r = rep.result
+        swapped = make_projective(r.alpha1, r.beta1), make_projective(r.alpha2, r.beta2)
+        want = make_projective(2e160, 3), make_projective(1e160 + 1j, 1)
+        for got, expected in zip(swapped, want):
+            assert chordal_distance(got, expected) <= 1e-15
 
 
 class TestExactSwapVectors:

@@ -173,11 +173,10 @@ class TestVerifySweepTheorem:
         p = random_proper_hessenberg(rng, 8)
         a0, b0 = p.a.copy(), p.b.copy()
         n = 8
-        qz = np.stack((np.eye(n, dtype=complex),) * 2)
-        q, z = qz
+        q, z = p.q, p.z
         rho, tau = pv(1.0 + 0.5j), pv(-2.0)
         poles_before = p.poles()
-        sweep = basic_sweep(p, rho, tau, accumulate=qz)
+        sweep = basic_sweep(p, rho, tau)
         # at plane k the composed factor is (z - rho)/(z - sigma_k); the
         # recorded values are re-read from the transformed entries, hence
         # roundoff-level tolerances
@@ -194,10 +193,9 @@ class TestVerifySweepTheorem:
         rng = np.random.default_rng(8)
         p = random_proper_hessenberg(rng, 6)
         a0, b0 = p.a.copy(), p.b.copy()
-        qz = np.stack((np.eye(6, dtype=complex),) * 2)
-        q, z = qz
+        q, z = p.q, p.z
         rho, tau = pv(2.0), pv(-1.0 + 1.0j)
-        sweep = bidirectional_sweep(p, [rho], [tau], accumulate=qz)
+        sweep = bidirectional_sweep(p, [rho], [tau])
         for k in range(2, 6):
             reduced = cancelled_factors(sweep_factors_at_plane(sweep, k))
             assert len(reduced) == 1
@@ -209,9 +207,8 @@ class TestVerifySweepTheorem:
         rng = np.random.default_rng(9)
         p = random_proper_hessenberg(rng, 8)
         a0, b0 = p.a.copy(), p.b.copy()
-        qz = np.stack((np.eye(8, dtype=complex),) * 2)
-        q, z = qz
-        sweep = multishift_sweep(p, [pv(2.0), pv(1j)], [pv(-1.0), pv(3.0)], accumulate=qz)
+        q, z = p.q, p.z
+        sweep = multishift_sweep(p, [pv(2.0), pv(1j)], [pv(-1.0), pv(3.0)])
         assert verify_sweep_theorem(a0, b0, sweep, q, z) <= 1e-8
 
 
