@@ -3,9 +3,17 @@
 Closed-form 2x2 solvers plus a 3x3 generalized eigensolver that expands
 det(A - lambda B) into a cubic with double-double coefficient arithmetic
 (~32 decimal digits) and polishes the roots with extended-precision Newton
-steps.  The extended precision is an unevaluated sum of two binary64 values
-(hi, lo) with |lo| <= ulp(hi)/2, built from the classic error-free
-transformations (two-sum, Dekker split / two-product).
+steps.
+
+A double-double is an unevaluated sum hi + lo of two binary64 values with
+|lo| <= ulp(hi)/2, passed around as the plain floats ``(hi, lo)``; a complex
+double-double is the 4-tuple ``(re_hi, re_lo, im_hi, im_lo)``.  The
+arithmetic is Dekker's error-free transformations (two-sum, quick-two-sum,
+split, two-product) in the layout of the QD library, written out inline in
+``_dd_add`` and ``_dd_mul``.  Their operation order is pinned: reordering a
+sum, or dropping a zero tail of a widened binary64 operand, can change an
+output bit (for instance the sign of a zero tail); ``tests/test_oracle.py``
+pins the resulting bits with SHA-256 digests.
 
 This module is deliberately independent of the sweep-based solver: the only
 shared code is the projective-value type.
@@ -15,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,133 +48,106 @@ class RootPolishError(OracleError):
     """A cubic root did not reach the extended-precision residual tolerance."""
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _dd_add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    """(ah + al) + (bh + bl); subtract by negating both words of b."""
+    # two-sum of the heads, then of the tails
+    s = ah + bh
+    bb = s - ah
+    e = (ah - (s - bb)) + (bh - bb)
+    t = al + bl
+    bb = t - al
+    f = (al - (t - bb)) + (bl - bb)
+    e += t
+    # quick-two-sum, fold in the tail error, quick-two-sum
+    hi = s + e
+    e = e - (hi - s)
+    e += f
+    s = hi + e
+    return s, e - (s - hi)
 
 
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    # assumes |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
+def _dd_mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    # two-product of the heads via Dekker splits of ah and bh
+    p = ah * bh
+    c = _SPLITTER * ah
+    a1 = c - (c - ah)
+    a2 = ah - a1
+    c = _SPLITTER * bh
+    b1 = c - (c - bh)
+    b2 = bh - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    e += ah * bl + al * bh
+    # quick-two-sum
+    hi = p + e
+    return hi, e - (hi - p)
 
 
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    # three quotient terms, each from the double-double remainder
+    q1 = ah / bh
+    ph, pl = _dd_mul(bh, bl, q1, 0.0)
+    rh, rl = _dd_add(ah, al, -ph, -pl)
+    q2 = rh / bh
+    ph, pl = _dd_mul(bh, bl, q2, 0.0)
+    rh, rl = _dd_add(rh, rl, -ph, -pl)
+    q3 = rh / bh
+    s = q1 + q2
+    e = q2 - (s - q1)
+    e += q3
+    hi = s + e
+    return hi, e - (hi - s)
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+def _cdd(z: complex) -> tuple[float, float, float, float]:
+    """Widen a binary64 complex to a complex double-double (zero tails)."""
+    z = complex(z)
+    return z.real, 0.0, z.imag, 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class DoubleDouble:
-    """Unevaluated sum hi + lo with |lo| <= ulp(hi)/2."""
-
-    hi: float = 0.0
-    lo: float = 0.0
-
-    @staticmethod
-    def from_float(x: float) -> "DoubleDouble":
-        return DoubleDouble(float(x), 0.0)
-
-    def __add__(self, other: "DoubleDouble") -> "DoubleDouble":
-        s, e = _two_sum(self.hi, other.hi)
-        t, f = _two_sum(self.lo, other.lo)
-        e += t
-        s, e = _quick_two_sum(s, e)
-        e += f
-        hi, lo = _quick_two_sum(s, e)
-        return DoubleDouble(hi, lo)
-
-    def __neg__(self) -> "DoubleDouble":
-        return DoubleDouble(-self.hi, -self.lo)
-
-    def __sub__(self, other: "DoubleDouble") -> "DoubleDouble":
-        return self + (-other)
-
-    def __mul__(self, other: "DoubleDouble") -> "DoubleDouble":
-        p, e = _two_prod(self.hi, other.hi)
-        e += self.hi * other.lo + self.lo * other.hi
-        hi, lo = _quick_two_sum(p, e)
-        return DoubleDouble(hi, lo)
-
-    def __truediv__(self, other: "DoubleDouble") -> "DoubleDouble":
-        q1 = self.hi / other.hi
-        r = self - other * DoubleDouble.from_float(q1)
-        q2 = r.hi / other.hi
-        r = r - other * DoubleDouble.from_float(q2)
-        q3 = r.hi / other.hi
-        s, e = _quick_two_sum(q1, q2)
-        e += q3
-        hi, lo = _quick_two_sum(s, e)
-        return DoubleDouble(hi, lo)
-
-    def abs(self) -> float:
-        return abs(self.hi)
-
-    def to_float(self) -> float:
-        return self.hi
+def _cdd_add(x, y):
+    return _dd_add(x[0], x[1], y[0], y[1]) + _dd_add(x[2], x[3], y[2], y[3])
 
 
-_DD_ZERO = DoubleDouble()
-_DD_ONE = DoubleDouble(1.0)
+def _cdd_sub(x, y):
+    return _dd_add(x[0], x[1], -y[0], -y[1]) + _dd_add(x[2], x[3], -y[2], -y[3])
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexDD:
-    """Complex number with double-double real and imaginary parts."""
-
-    re: DoubleDouble = _DD_ZERO
-    im: DoubleDouble = _DD_ZERO
-
-    @staticmethod
-    def from_complex(z: complex) -> "ComplexDD":
-        z = complex(z)
-        return ComplexDD(DoubleDouble.from_float(z.real), DoubleDouble.from_float(z.imag))
-
-    def __add__(self, other: "ComplexDD") -> "ComplexDD":
-        return ComplexDD(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexDD") -> "ComplexDD":
-        return ComplexDD(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexDD":
-        return ComplexDD(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexDD") -> "ComplexDD":
-        return ComplexDD(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: "ComplexDD") -> "ComplexDD":
-        # Smith's algorithm on double-double components
-        if abs(other.re.hi) >= abs(other.im.hi):
-            r = other.im / other.re
-            den = other.re + other.im * r
-            return ComplexDD(
-                (self.re + self.im * r) / den, (self.im - self.re * r) / den
-            )
-        r = other.re / other.im
-        den = other.im + other.re * r
-        return ComplexDD((self.re * r + self.im) / den, (self.im * r - self.re) / den)
-
-    def abs(self) -> float:
-        return math.hypot(self.re.hi, self.im.hi)
-
-    def to_complex(self) -> complex:
-        return complex(self.re.hi, self.im.hi)
+def _cdd_mul(x, y):
+    xrh, xrl, xih, xil = x
+    yrh, yrl, yih, yil = y
+    ph, pl = _dd_mul(xrh, xrl, yrh, yrl)
+    qh, ql = _dd_mul(xih, xil, yih, yil)
+    re = _dd_add(ph, pl, -qh, -ql)
+    ph, pl = _dd_mul(xrh, xrl, yih, yil)
+    qh, ql = _dd_mul(xih, xil, yrh, yrl)
+    return re + _dd_add(ph, pl, qh, ql)
 
 
-_CDD_ZERO = ComplexDD()
-_CDD_ONE = ComplexDD(_DD_ONE, _DD_ZERO)
+def _cdd_div(x, y):
+    """Smith's algorithm on double-double components."""
+    xrh, xrl, xih, xil = x
+    yrh, yrl, yih, yil = y
+    if abs(yrh) >= abs(yih):
+        rh, rl = _dd_div(yih, yil, yrh, yrl)
+        dh, dl = _dd_add(yrh, yrl, *_dd_mul(yih, yil, rh, rl))
+        nrh, nrl = _dd_add(xrh, xrl, *_dd_mul(xih, xil, rh, rl))
+        th, tl = _dd_mul(xrh, xrl, rh, rl)
+        nih, nil = _dd_add(xih, xil, -th, -tl)
+    else:
+        rh, rl = _dd_div(yrh, yrl, yih, yil)
+        dh, dl = _dd_add(yih, yil, *_dd_mul(yrh, yrl, rh, rl))
+        nrh, nrl = _dd_add(*_dd_mul(xrh, xrl, rh, rl), xih, xil)
+        th, tl = _dd_mul(xih, xil, rh, rl)
+        nih, nil = _dd_add(th, tl, -xrh, -xrl)
+    return _dd_div(nrh, nrl, dh, dl) + _dd_div(nih, nil, dh, dl)
+
+
+def _cdd_abs(x) -> float:
+    return math.hypot(x[0], x[2])
+
+
+_CDD_ZERO = (0.0, 0.0, 0.0, 0.0)
+_CDD_ONE = (1.0, 0.0, 0.0, 0.0)
 
 _PERMS_3 = (
     ((0, 1, 2), 1.0),
@@ -208,37 +188,38 @@ def eig_2x2(a: np.ndarray, b: np.ndarray) -> tuple[ProjectiveValue, ProjectiveVa
 def _det_cubic(a: np.ndarray, b: np.ndarray):
     """Coefficients of det(A - lambda B) for 3x3 inputs, in double-double.
 
-    Returns (coeffs ascending as ComplexDD, per-degree absolute accumulation
-    bounds used for the negligibility test).
+    Returns (coeffs ascending as complex double-doubles, per-degree absolute
+    accumulation bounds used for the negligibility test).
     """
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
     coeffs = [_CDD_ZERO, _CDD_ZERO, _CDD_ZERO, _CDD_ZERO]
     bounds = [0.0, 0.0, 0.0, 0.0]
     for perm, sign in _PERMS_3:
         poly = [_CDD_ONE]
         apoly = [1.0]
         for i, j in enumerate(perm):
-            p0 = ComplexDD.from_complex(a[i, j])
-            p1 = ComplexDD.from_complex(-b[i, j])
-            m0, m1 = abs(complex(a[i, j])), abs(complex(b[i, j]))
+            p0 = _cdd(a[i][j])
+            p1 = _cdd(-b[i][j])
+            m0, m1 = abs(complex(a[i][j])), abs(complex(b[i][j]))
             new = [_CDD_ZERO] * (len(poly) + 1)
             anew = [0.0] * (len(poly) + 1)
             for k, (ck, ak) in enumerate(zip(poly, apoly)):
-                new[k] = new[k] + ck * p0
-                new[k + 1] = new[k + 1] + ck * p1
+                new[k] = _cdd_add(new[k], _cdd_mul(ck, p0))
+                new[k + 1] = _cdd_add(new[k + 1], _cdd_mul(ck, p1))
                 anew[k] += ak * m0
                 anew[k + 1] += ak * m1
             poly, apoly = new, anew
+        add = _cdd_add if sign > 0 else _cdd_sub
         for k in range(len(poly)):
-            term = poly[k] if sign > 0 else -poly[k]
-            coeffs[k] = coeffs[k] + term
+            coeffs[k] = add(coeffs[k], poly[k])
             bounds[k] += apoly[k]
     return coeffs, bounds
 
 
-def _horner(coeffs, z: ComplexDD) -> ComplexDD:
+def _horner(coeffs, z):
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
+        acc = _cdd_add(_cdd_mul(acc, z), c)
     return acc
 
 
@@ -251,40 +232,36 @@ def _poly_scale_at(bounds, mag: float) -> float:
     return scale
 
 
-def _polish_root(coeffs, bounds, z0: complex) -> ComplexDD:
-    deriv = [
-        ComplexDD(DoubleDouble.from_float(float(k)), _DD_ZERO) * coeffs[k]
-        for k in range(1, len(coeffs))
-    ]
-    z = ComplexDD.from_complex(z0)
+def _polish_root(coeffs, deriv, bounds, z0: complex):
+    z = _cdd(z0)
     for it in range(15):
         pv = _horner(coeffs, z)
-        residual = pv.abs()
-        scale = _poly_scale_at(bounds, z.abs())
+        residual = _cdd_abs(pv)
+        scale = _poly_scale_at(bounds, _cdd_abs(z))
         if it >= 3 and residual <= _RESIDUAL_TOL * scale:
             return z
         pd = _horner(deriv, z)
-        if pd.abs() == 0.0:
+        if _cdd_abs(pd) == 0.0:
             break
-        z = z - pv / pd
-    residual = _horner(coeffs, z).abs()
-    scale = _poly_scale_at(bounds, z.abs())
+        z = _cdd_sub(z, _cdd_div(pv, pd))
+    residual = _cdd_abs(_horner(coeffs, z))
+    scale = _poly_scale_at(bounds, _cdd_abs(z))
     # negated comparison so a NaN residual (diverged iteration) also raises
     if not (residual <= _RESIDUAL_TOL * scale * 32.0):
         raise RootPolishError(
             f"root polishing stalled: residual {residual:.3e} vs scale {scale:.3e}"
         )
-    if not math.isfinite(z.abs()):
+    if not math.isfinite(_cdd_abs(z)):
         raise RootPolishError("root polishing diverged to a non-finite value")
     return z
 
 
 def _finite_roots_dd(a: np.ndarray, b: np.ndarray):
-    """(finite roots as ComplexDD, count of infinite eigenvalues)."""
+    """(finite roots as complex double-doubles, count of infinite eigenvalues)."""
     coeffs, bounds = _det_cubic(a, b)
 
     def negligible(k: int) -> bool:
-        return coeffs[k].abs() <= _NEGLIGIBLE * bounds[k]
+        return _cdd_abs(coeffs[k]) <= _NEGLIGIBLE * bounds[k]
 
     if all(negligible(k) for k in range(4)):
         raise SingularPencilError("pencil numerically singular: det(A - lB) == 0")
@@ -293,10 +270,11 @@ def _finite_roots_dd(a: np.ndarray, b: np.ndarray):
     while degree > 0 and negligible(degree):
         degree -= 1
     n_infinite = 3 - degree
-    roots: list[ComplexDD] = []
+    roots = []
     if degree > 0:
         poly = np.array(
-            [coeffs[k].to_complex() for k in range(degree, -1, -1)], dtype=complex
+            [complex(coeffs[k][0], coeffs[k][2]) for k in range(degree, -1, -1)],
+            dtype=complex,
         )
         poly = poly / np.max(np.abs(poly))
         try:
@@ -305,8 +283,10 @@ def _finite_roots_dd(a: np.ndarray, b: np.ndarray):
             raise RootPolishError(f"companion eigensolve failed: {exc}") from exc
         reduced = coeffs[: degree + 1]
         reduced_bounds = bounds[: degree + 1]
+        # the derivative's coefficients k * c_k do not depend on the root
+        deriv = [_cdd_mul((float(k), 0.0, 0.0, 0.0), reduced[k]) for k in range(1, degree + 1)]
         for z0 in initial:
-            roots.append(_polish_root(reduced, reduced_bounds, complex(z0)))
+            roots.append(_polish_root(reduced, deriv, reduced_bounds, complex(z0)))
     return roots, n_infinite
 
 
@@ -329,7 +309,7 @@ def eig_3x3_extended(a, b) -> list[ProjectiveValue]:
         raise ValueError("eig_3x3_extended expects 3x3 matrices")
     roots, n_infinite = _finite_roots_dd(a, b)
     values = [make_projective(1.0, 0.0) for _ in range(n_infinite)]
-    values.extend(make_projective(z.to_complex(), 1.0) for z in roots)
+    values.extend(make_projective(complex(z[0], z[2]), 1.0) for z in roots)
     return values
 
 

@@ -131,11 +131,7 @@ class HessenbergPencil:
 
 
 def is_hessenberg(m: np.ndarray) -> bool:
-    n = m.shape[0]
-    if n <= 2:
-        return True
-    ii, jj = np.tril_indices(n, k=-2)
-    return not np.any(m[ii, jj])
+    return m.shape[0] <= 2 or not np.tril(m, -2).any()
 
 
 def _proportionality(u: np.ndarray, v: np.ndarray) -> float:

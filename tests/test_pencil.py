@@ -147,6 +147,38 @@ class TestCheckProper:
         assert rep.violation == "proportional_last_rows"
 
 
+class TestIsHessenberg:
+    @staticmethod
+    def full_hessenberg(n):
+        m = np.arange(1, n * n + 1, dtype=float).reshape(n, n) * (1 + 1j)
+        return np.triu(m, -1)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_nonzero_below_subdiagonal_rejected(self, n):
+        for i in range(2, n):
+            for j in range(i - 1):
+                m = np.zeros((n, n), dtype=complex)
+                m[i, j] = 1e-300j
+                assert not is_hessenberg(m), (i, j)
+                h = self.full_hessenberg(n)
+                h[i, j] = 1.0
+                assert not is_hessenberg(h), (i, j)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_negative_zero_below_subdiagonal_accepted(self, n):
+        h = self.full_hessenberg(n)
+        h[np.tril_indices(n, -2)] = complex(-0.0, -0.0)
+        assert is_hessenberg(h)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_full_hessenberg_accepted(self, n):
+        assert is_hessenberg(self.full_hessenberg(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_orders_always_hessenberg(self, n):
+        assert is_hessenberg(np.ones((n, n), dtype=complex))
+
+
 class TestReduction:
     def test_already_reduced_pair(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)

@@ -1,9 +1,11 @@
-"""Sweep and type II move counts of the benchmark's reference solves.
+"""Reference counts of the benchmark's solve and accuracy workloads.
 
-``perfbench/reference.json`` pins the counts of each solve workload's first
-input at seed 20250; a change that alters rounding anywhere in a solve
-almost always moves them.  This test rebuilds the two inputs with numpy
-alone and checks the counts, so such a change fails here in seconds.
+``perfbench/reference.json`` pins the counts of each workload's first input
+at seed 20250: sweeps and type II moves of the two solve workloads, and the
+ratio bins and exclusions of the 32-trial ``accuracy-3x3`` study.  A change
+that alters rounding anywhere in a solve, or in the oracle, almost always
+moves them.  This test rebuilds those inputs with numpy alone and checks the
+counts, so such a change fails here in seconds.
 
 The counts depend on the BLAS thread count (with two threads the dense
 input takes 280 sweeps, not 281), so the solves run in a child process with
@@ -23,10 +25,12 @@ REFERENCE_SEED = 20250
 
 
 def reference_counts() -> dict:
-    """(iteration_count, logged type II moves) of both reference solves."""
+    """(iteration_count, logged type II moves) of both reference solves, and
+    the ratio bins and exclusions of the reference accuracy study."""
     import numpy as np
 
     import poleswap
+    from poleswap.experiments import StressDistribution, run_accuracy_experiment
     from poleswap.numerics import make_projective
 
     def pair(key, n):
@@ -53,6 +57,14 @@ def reference_counts() -> dict:
     ]
     options = poleswap.SolveOptions(pole="rayleigh", prescribed_poles=poles)
     out["solve-rational-graded"] = counts(poleswap.solve(a * 1e150, b * 1e-150, options))
+    # the accuracy workload's first input: 32 trials at a spawned seed
+    seed = int(np.random.SeedSequence(REFERENCE_SEED, spawn_key=(4, 0)).generate_state(1)[0])
+    summary = run_accuracy_experiment(32, StressDistribution(seed=seed))
+    out["accuracy-3x3"] = {
+        "seed": seed,
+        "ratio_bins": {str(k): v for k, v in sorted(summary.ratio_bins.items())},
+        "excluded": summary.excluded,
+    }
     return out
 
 
@@ -64,7 +76,11 @@ def test_reference_solve_counts():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got == {"solve-qz-dense": [281, 14960], "solve-rational-graded": [174, 5756]}
+    assert got == {
+        "solve-qz-dense": [281, 14960],
+        "solve-rational-graded": [174, 5756],
+        "accuracy-3x3": {"seed": 1298978002, "ratio_bins": {"-1": 6, "0": 26}, "excluded": 0},
+    }
 
 
 if __name__ == "__main__":
